@@ -12,12 +12,14 @@ from .errors import (
     ZeroDistance,
 )
 from .executor import (
+    Motion,
     Policy,
     SimTrace,
     TraceEvent,
     TraceSample,
     Trajectory,
     Waypoint,
+    analyse,
     build_rotate_wheel_2n,
     parse_trajectory,
     read_trajectory_file,

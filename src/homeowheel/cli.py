@@ -25,7 +25,9 @@ from .errors import (
     ValidationFailure,
 )
 from .executor import (
+    DisengagedShaftMotion,
     Policy,
+    analyse,
     build_rotate_wheel_2n,
     read_trajectory_file,
     simulate,
@@ -36,7 +38,6 @@ from .executor import (
 from .mechanism import DEFAULT_GEOMETRY, DEFAULT_LIMITS, MechanismGeometry, ServoLimits
 from .planner import count_engaged_sweeps, generate_gait, plan_distance, plan_rotation
 from .scaling import ScalingModel, scale
-from .tegument import check_integrity, ledger_history
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -136,16 +137,25 @@ def _resolve_setup(args) -> tuple[MechanismGeometry, ServoLimits]:
     return geometry, limits
 
 
-def _print_motion_summary(trace, limits) -> None:
-    ledgers = ledger_history(trace.states())
-    report = check_integrity(ledgers, limits, trace.times())
-    print(f"theta_wheel_deg={_fmt(trace.final_theta_deg)}")
-    print(f"x_m={_fmt(trace.final_x_m)}")
+def _validate(trajectory, policy) -> list:
+    """Validate once under ``policy``. What even the lenient policy rejects
+    is fatal; the rest is returned for the summary."""
+    violations = validate_trajectory(trajectory, policy=policy)
+    fatal = [v for v in violations if not isinstance(v, DisengagedShaftMotion)]
+    if fatal:
+        raise ValidationFailure(fatal)
+    return violations
+
+
+def _print_motion_summary(motion) -> None:
+    report = motion.integrity
+    print(f"theta_wheel_deg={_fmt(motion.final_theta_deg)}")
+    print(f"x_m={_fmt(motion.final_x_m)}")
     print(f"max_twist_body_gantry_deg={_fmt(report.max_abs_twist[0])}")
     print(f"max_twist_shaft_axial_deg={_fmt(report.max_abs_twist[1])}")
     print(f"max_twist_wrist_deg={_fmt(report.max_abs_twist[2])}")
     print(f"integrity_ok={int(report.ok)}")
-    print(f"events={len(trace.events)}")
+    print(f"events={len(motion.events)}")
 
 
 def _report_violations(violations) -> None:
@@ -157,13 +167,14 @@ def _report_violations(violations) -> None:
 def cmd_simulate(args) -> int:
     geometry, limits = _resolve_setup(args)
     trajectory = build_rotate_wheel_2n(args.n, geometry=geometry, limits=limits)
-    trace = simulate(trajectory, sample_rate=args.sample_rate_hz)
-    violations = validate_trajectory(trajectory, policy=args.policy)
+    violations = _validate(trajectory, args.policy)
+    motion = analyse(trajectory, check=False)
     if args.out:
-        write_trace_file(trace, args.out)
+        write_trace_file(simulate(trajectory, sample_rate=args.sample_rate_hz, check=False),
+                         args.out)
     if args.out_traj:
         write_trajectory_file(trajectory, args.out_traj)
-    _print_motion_summary(trace, limits)
+    _print_motion_summary(motion)
     _report_violations(violations)
     return EXIT_OK if not violations else EXIT_VIOLATION
 
@@ -174,14 +185,14 @@ def cmd_plan(args) -> int:
         trajectory = plan_rotation(args.target_deg, limits=limits, geometry=geometry)
     else:
         trajectory = plan_distance(args.distance_m, geometry=geometry, limits=limits)
-    violations = validate_trajectory(trajectory, policy=args.policy)
-    trace = simulate(trajectory, sample_rate=args.sample_rate_hz)
+    violations = _validate(trajectory, args.policy)
+    motion = analyse(trajectory, check=False)
     write_trajectory_file(trajectory, args.out)
     print(f"waypoints={len(trajectory.waypoints)}")
     print(f"segments={max(len(trajectory.waypoints) - 1, 0)}")
     print(f"engaged_sweeps={count_engaged_sweeps(trajectory)}")
-    print(f"predicted_theta_wheel_deg={_fmt(trace.final_theta_deg)}")
-    print(f"predicted_x_m={_fmt(trace.final_x_m)}")
+    print(f"predicted_theta_wheel_deg={_fmt(motion.final_theta_deg)}")
+    print(f"predicted_x_m={_fmt(motion.final_x_m)}")
     _report_violations(violations)
     return EXIT_OK if not violations else EXIT_VIOLATION
 
@@ -189,13 +200,13 @@ def cmd_plan(args) -> int:
 def cmd_gait(args) -> int:
     geometry, limits = _resolve_setup(args)
     trajectory = generate_gait(args.period_s, args.cycles, limits=limits, geometry=geometry)
-    violations = validate_trajectory(trajectory, policy=args.policy)
-    trace = simulate(trajectory, sample_rate=args.sample_rate_hz)
+    violations = _validate(trajectory, args.policy)
+    motion = analyse(trajectory, check=False)
     write_trajectory_file(trajectory, args.out)
     print(f"waypoints={len(trajectory.waypoints)}")
     print(f"period_s={_fmt(args.period_s)}")
     print(f"cycles={args.cycles}")
-    _print_motion_summary(trace, limits)
+    _print_motion_summary(motion)
     _report_violations(violations)
     return EXIT_OK if not violations else EXIT_VIOLATION
 
@@ -203,9 +214,8 @@ def cmd_gait(args) -> int:
 def cmd_check(args) -> int:
     trajectory = read_trajectory_file(args.trajectory)
     violations = validate_trajectory(trajectory, policy=args.policy)
-    trace = simulate(trajectory, sample_rate=args.sample_rate_hz, check=False)
-    ledgers = ledger_history(trace.states())
-    report = check_integrity(ledgers, trajectory.limits, trace.times())
+    motion = analyse(trajectory, check=False)
+    report = motion.integrity
     _report_violations(violations)
     print(f"integrity_ok={int(report.ok)}")
     for issue in report.violations:
@@ -213,9 +223,9 @@ def cmd_check(args) -> int:
     print(f"max_twist_body_gantry_deg={_fmt(report.max_abs_twist[0])}")
     print(f"max_twist_shaft_axial_deg={_fmt(report.max_abs_twist[1])}")
     print(f"max_twist_wrist_deg={_fmt(report.max_abs_twist[2])}")
-    print(f"theta_wheel_deg={_fmt(trace.final_theta_deg)}")
-    print(f"events={len(trace.events)}")
-    for event in trace.events:
+    print(f"theta_wheel_deg={_fmt(motion.final_theta_deg)}")
+    print(f"events={len(motion.events)}")
+    for event in motion.events:
         print(f"event={event.kind} t={event.t:.9g} {event.detail}")
     clean = not violations and report.ok
     print(f"ok={int(clean)}")

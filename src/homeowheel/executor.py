@@ -1,13 +1,16 @@
 """Trajectory construction, simulation, validation, and file exchange.
 
 A trajectory is an ordered list of timed waypoints with piecewise-linear
-interpolation per servo. Simulation integrates the wheel analytically per
-segment: a segment turns the wheel iff both endpoints sit in the same
-driving configuration, and then by exactly ``drive_sign * delta_s1``. The
-per-segment accounting keeps the canonical even-turn routine exact (720 deg
-per loop iteration) instead of tolerance-dependent. While disengaged the
-wheel is held, not freewheeling: the reconfiguration steps must not move it
-or the whole bookkeeping collapses.
+interpolation per servo. Everything that is a property of that path is
+computed once per segment from the waypoints by :func:`analyse`: a segment
+turns the wheel iff both endpoints sit in the same driving configuration,
+and then by exactly ``drive_sign * delta_s1``; its events are decided
+analytically; and the twist certificate is read off the waypoints, where a
+linear path reaches its extremes. This keeps the canonical even-turn routine
+exact (720 deg per loop iteration) and makes every result independent of any
+sample rate. While disengaged the wheel is held, not freewheeling: the
+reconfiguration steps must not move it or the whole bookkeeping collapses.
+Dense samples exist only for the trace export (:func:`simulate`).
 
 File formats (versioned, deterministic byte output):
 
@@ -40,9 +43,9 @@ from .mechanism import (
     ServoState,
     drive_sign,
     engaged,
-    gimbal_lock_risk,
     validate_state,
 )
+from .tegument import IntegrityReport, check_integrity, ledger_from_state
 
 TRAJECTORY_FORMAT_VERSION = 1
 
@@ -58,8 +61,8 @@ FLAG_RANGE_VIOLATION = 4
 # round so that angle / duration lands one ulp above max_rate.
 _RATE_GUARD = 1e-12
 
-# Interpolated samples never step the shaft by more than this, so unwrapped
-# angles stay continuous regardless of the requested sample rate.
+# Exported samples never step the shaft by more than this, so a reader that
+# unwraps the sampled angles sees a continuous path at any sample rate.
 _MAX_SHAFT_STEP = 90.0
 
 
@@ -139,15 +142,38 @@ class SimTrace:
     def final_x_m(self) -> float:
         return self.samples[-1].x_m
 
-    @property
-    def distance_m(self) -> float:
-        return self.samples[-1].x_m - self.samples[0].x_m
-
     def states(self) -> list[ServoState]:
         return [s.state for s in self.samples]
 
     def times(self) -> list[float]:
         return [s.t for s in self.samples]
+
+
+@dataclass(frozen=True)
+class Motion:
+    """What a trajectory does, computed once per segment from its waypoints.
+
+    ``theta_deg[k]`` is the wheel angle at waypoint k (0 at the first);
+    ``drives[i]`` and ``flags[i]`` are segment i's wheel coupling (see
+    :func:`segment_drive`) and event flags. ``integrity`` certifies the
+    twist of every tegument segment over the whole path.
+    """
+
+    trajectory: Trajectory
+    theta_deg: tuple[float, ...]
+    drives: tuple[int, ...]
+    flags: tuple[int, ...]
+    events: tuple[TraceEvent, ...]
+    integrity: IntegrityReport
+
+    @property
+    def final_theta_deg(self) -> float:
+        return self.theta_deg[-1]
+
+    @property
+    def final_x_m(self) -> float:
+        """Odometry at the last waypoint; the wheel starts at x = 0."""
+        return self.trajectory.geometry.wheel_radius * math.radians(self.theta_deg[-1])
 
 
 # --------------------------------------------------------------------------
@@ -309,25 +335,39 @@ def validate_trajectory(trajectory: Trajectory, policy: Policy = Policy.STRICT,
 # Simulation
 
 
-def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
-             check: bool = True, engage_tol: float = ENGAGE_TOL,
-             gimbal_tol: float = GIMBAL_TOL) -> SimTrace:
-    """Integrate the wheel through the clutch model and sample the motion.
+def _gimbal_entry(a: ServoState, b: ServoState, tol: float) -> float | None:
+    """First alpha in [0, 1] at which the linear (s2, s3) path from ``a`` to
+    ``b`` lies within ``tol`` of (0, 0) in both servos, or None if it never
+    does: the intersection of the two servos' alpha-intervals."""
+    lo, hi = 0.0, 1.0
+    for start, delta in ((a.s2, b.s2 - a.s2), (a.s3, b.s3 - a.s3)):
+        if delta == 0.0:
+            if not abs(start) <= tol:
+                return None
+            continue
+        enter, leave = (-tol - start) / delta, (tol - start) / delta
+        if delta < 0.0:
+            enter, leave = leave, enter
+        lo, hi = max(lo, enter), min(hi, leave)
+    return lo if lo <= hi else None
 
-    The wheel increment of each segment is computed analytically from its
-    endpoints (``segment_drive * delta_s1``), so results are exact at
-    waypoints; dense samples between waypoints serve the exported trace.
-    Odometry is the rolling relation x = radius * theta in radians at every
-    sample. Events record gimbal-lock risk (one per offending segment) and
-    disengaged shaft motion.
+
+def analyse(trajectory: Trajectory, *, check: bool = True,
+            engage_tol: float = ENGAGE_TOL, gimbal_tol: float = GIMBAL_TOL) -> Motion:
+    """Wheel angle, events and twist certificate of a trajectory, in one
+    pass over its segments.
+
+    Each segment turns the wheel by ``segment_drive * delta_s1``. Events
+    record disengaged shaft motion and gimbal-lock risk (the shaft turning
+    while the segment's (s2, s3) line passes within ``gimbal_tol`` of (0, 0),
+    timed at the entry into that zone), one of each per offending segment,
+    and every out-of-range waypoint. The twist certificate checks the
+    waypoints only: a linear path reaches its extremes there.
 
     With ``check`` (the default), range/rate/time violations raise
     :class:`ValidationFailure`. With ``check=False`` the trajectory is
-    simulated as-is and out-of-range waypoints become trace events, which
-    lets diagnostic tools report on broken files.
+    analysed as-is, which lets diagnostic tools report on broken files.
     """
-    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
-        raise InvalidParameter(f"sample_rate must be positive, got {sample_rate!r}")
     waypoints = trajectory.waypoints
     if not waypoints:
         raise ValidationFailure([EmptyTrajectory()])
@@ -336,71 +376,88 @@ def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
         if hard:
             raise ValidationFailure(hard)
 
-    radius = trajectory.geometry.wheel_radius
-    limits = trajectory.limits
-    samples: list[TraceSample] = []
     events: list[TraceEvent] = []
-    theta = 0.0
+    out_of_range = []
+    for index, wp in enumerate(waypoints):
+        violations = validate_state(wp.state, trajectory.limits)
+        out_of_range.append(bool(violations))
+        for v in violations:
+            events.append(TraceEvent(wp.t, EVENT_RANGE_VIOLATION, f"waypoint {index}: {v}"))
 
-    if not check:
-        for index, wp in enumerate(waypoints):
-            for v in validate_state(wp.state, limits):
-                events.append(TraceEvent(wp.t, EVENT_RANGE_VIOLATION,
-                                         f"waypoint {index}: {v}"))
-
-    def out_of_range(state: ServoState) -> bool:
-        return bool(validate_state(state, limits)) if not check else False
-
-    def emit(t: float, state: ServoState, theta_now: float, flags: int) -> None:
-        if out_of_range(state):
-            flags |= FLAG_RANGE_VIOLATION
-        samples.append(TraceSample(t, state, theta_now,
-                                   radius * math.radians(theta_now),
-                                   engaged(state, engage_tol), flags))
-
+    theta = [0.0]
+    drives: list[int] = []
+    flags: list[int] = []
     for i, a, b in trajectory.segments():
         seg_dt = b.t - a.t
         d_s1 = b.state.s1 - a.state.s1
         drive = segment_drive(a.state, b.state, engage_tol)
-        base_flags = 0
+        seg_flags = FLAG_RANGE_VIOLATION if out_of_range[i] or out_of_range[i + 1] else 0
         if drive == 0 and d_s1 != 0.0:
-            base_flags |= FLAG_DISENGAGED_SHAFT_MOTION
+            seg_flags |= FLAG_DISENGAGED_SHAFT_MOTION
             events.append(TraceEvent(a.t, EVENT_DISENGAGED_SHAFT_MOTION,
                                      f"segment {i}: shaft delta {d_s1!r} deg with the clutch open"))
         s1_rate = d_s1 / seg_dt if seg_dt > 0.0 else 0.0
+        entry = _gimbal_entry(a.state, b.state, gimbal_tol) if s1_rate != 0.0 else None
+        if entry is not None:
+            seg_flags |= FLAG_GIMBAL_LOCK_RISK
+            events.append(TraceEvent(
+                a.t + seg_dt * entry, EVENT_GIMBAL_LOCK_RISK,
+                f"segment {i}: shaft turning at {s1_rate!r} deg/s through s2=s3=0"))
+        theta.append(theta[-1] + drive * d_s1)
+        drives.append(drive)
+        flags.append(seg_flags)
+
+    events.sort(key=lambda e: (e.t, e.kind, e.detail))
+    integrity = check_integrity([ledger_from_state(wp.state) for wp in waypoints],
+                                trajectory.limits, [wp.t for wp in waypoints])
+    return Motion(trajectory, tuple(theta), tuple(drives), tuple(flags), tuple(events),
+                  integrity)
+
+
+def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
+             check: bool = True, engage_tol: float = ENGAGE_TOL,
+             gimbal_tol: float = GIMBAL_TOL) -> SimTrace:
+    """:func:`analyse` the trajectory, then sample it for the trace export.
+
+    Samples interpolate each segment linearly; results are exact at
+    waypoints. Odometry is the rolling relation x = radius * theta in
+    radians at every sample. A sample carries its segment's event flags
+    (the last sample those of the last segment), and is engaged at a
+    waypoint iff that waypoint is, between waypoints iff its segment turns
+    the wheel. The keywords are those of :func:`analyse`.
+    """
+    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
+        raise InvalidParameter(f"sample_rate must be positive, got {sample_rate!r}")
+    motion = analyse(trajectory, check=check, engage_tol=engage_tol, gimbal_tol=gimbal_tol)
+    radius = trajectory.geometry.wheel_radius
+    samples: list[TraceSample] = []
+    for i, a, b in trajectory.segments():
+        seg_dt = b.t - a.t
+        d_s1 = b.state.s1 - a.state.s1
+        drive, flags, theta = motion.drives[i], motion.flags[i], motion.theta_deg[i]
         if seg_dt > 0.0:
             subdivisions = max(int(math.ceil(seg_dt * sample_rate)),
                                int(math.ceil(abs(d_s1) / _MAX_SHAFT_STEP)), 1)
         else:
             subdivisions = 1
-        gimbal_seen = False
-        for j in range(subdivisions):
-            if j == 0:
-                t, state = a.t, a.state
-            else:
-                alpha = j / subdivisions
-                t = a.t + seg_dt * alpha
-                state = ServoState(
-                    a.state.s1 + d_s1 * alpha,
-                    a.state.s2 + (b.state.s2 - a.state.s2) * alpha,
-                    a.state.s3 + (b.state.s3 - a.state.s3) * alpha,
-                )
-            flags = base_flags
-            if gimbal_lock_risk(state, s1_rate, gimbal_tol):
-                flags |= FLAG_GIMBAL_LOCK_RISK
-                if not gimbal_seen:
-                    gimbal_seen = True
-                    events.append(TraceEvent(
-                        t, EVENT_GIMBAL_LOCK_RISK,
-                        f"segment {i}: shaft turning at {s1_rate!r} deg/s through s2=s3=0"))
+        samples.append(TraceSample(a.t, a.state, theta, radius * math.radians(theta),
+                                   engaged(a.state, engage_tol), flags))
+        for j in range(1, subdivisions):
+            alpha = j / subdivisions
+            state = ServoState(
+                a.state.s1 + d_s1 * alpha,
+                a.state.s2 + (b.state.s2 - a.state.s2) * alpha,
+                a.state.s3 + (b.state.s3 - a.state.s3) * alpha,
+            )
             theta_now = theta + drive * (state.s1 - a.state.s1) if drive else theta
-            emit(t, state, theta_now, flags)
-        theta += drive * d_s1
+            samples.append(TraceSample(a.t + seg_dt * alpha, state, theta_now,
+                                       radius * math.radians(theta_now), drive != 0, flags))
 
-    last = waypoints[-1]
-    emit(last.t, last.state, theta, 0)
-    events.sort(key=lambda e: (e.t, e.kind, e.detail))
-    return SimTrace(tuple(samples), tuple(events))
+    last = trajectory.waypoints[-1]
+    samples.append(TraceSample(last.t, last.state, motion.final_theta_deg, motion.final_x_m,
+                               engaged(last.state, engage_tol),
+                               motion.flags[-1] if motion.flags else 0))
+    return SimTrace(tuple(samples), motion.events)
 
 
 # --------------------------------------------------------------------------

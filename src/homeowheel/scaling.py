@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidParameter, ZeroDistance
-from .executor import SimTrace
+from .executor import Motion
 
 STANDARD_GRAVITY = 9.81  # m/s^2
 
@@ -55,12 +55,13 @@ def scale(model: ScalingModel, length_m: float) -> ScaledQuantities:
     return ScaledQuantities(mass_kg=mass, force_n=force, accel_m_s2=force / mass)
 
 
-def cost_of_transport(trace: SimTrace, torques_nm: Sequence[float],
+def cost_of_transport(motion: Motion, torques_nm: Sequence[float],
                       mass_kg: float, gravity: float = STANDARD_GRAVITY) -> float:
-    """Quasi-static transport cost E / (m * g * |dx|) of a simulated motion.
+    """Quasi-static transport cost E / (m * g * |dx|) of an analysed motion.
 
-    ``torques_nm`` holds the constant torque magnitudes of servos 1..3.
-    Raises :class:`ZeroDistance` when the trace covers no distance.
+    E sums ``|tau_i * delta_s_i|`` over the segments of the trajectory, with
+    ``torques_nm`` the constant torque magnitudes of servos 1..3. Raises
+    :class:`ZeroDistance` when the motion covers no distance.
     """
     if len(torques_nm) != 3:
         raise InvalidParameter(f"expected 3 servo torques, got {len(torques_nm)}")
@@ -68,13 +69,13 @@ def cost_of_transport(trace: SimTrace, torques_nm: Sequence[float],
         raise InvalidParameter(f"mass must be positive and finite, got {mass_kg!r}")
     if not (math.isfinite(gravity) and gravity > 0.0):
         raise InvalidParameter(f"gravity must be positive and finite, got {gravity!r}")
-    distance = trace.distance_m
+    distance = motion.final_x_m
     if distance == 0.0:
-        raise ZeroDistance("trace covers zero distance")
+        raise ZeroDistance("motion covers zero distance")
     tau1, tau2, tau3 = (float(t) for t in torques_nm)
     energy = 0.0
-    for prev, cur in zip(trace.samples, trace.samples[1:]):
-        energy += abs(tau1 * math.radians(cur.state.s1 - prev.state.s1))
-        energy += abs(tau2 * math.radians(cur.state.s2 - prev.state.s2))
-        energy += abs(tau3 * math.radians(cur.state.s3 - prev.state.s3))
+    for _, a, b in motion.trajectory.segments():
+        energy += abs(tau1 * math.radians(b.state.s1 - a.state.s1))
+        energy += abs(tau2 * math.radians(b.state.s2 - a.state.s2))
+        energy += abs(tau3 * math.radians(b.state.s3 - a.state.s3))
     return energy / (mass_kg * gravity * abs(distance))

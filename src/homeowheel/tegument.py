@@ -3,11 +3,13 @@
 The membrane is anchored to each skeletal link, so the twist absorbed by
 each tegument segment is exactly the relative joint rotation at the joint it
 spans: one segment per servo. The wheel's own surface contributes no term
-because it rotates rigidly with the hub. Twists are tracked as continuously
-lifted angles so that the no-wraparound rule can be asserted even from
-wrapped samples; for any trajectory that stays within the servo ranges the
-lift equals the raw angle, every segment stays bounded, and the membrane
-never tears.
+because it rotates rigidly with the hub. Servo angles never wrap, so the
+twist of a segment is the raw joint angle; for any trajectory that stays
+within the servo ranges every segment stays bounded and the membrane never
+tears. Over a piecewise-linear path the twist reaches its extremes at
+waypoints, so checking the waypoints certifies the whole path.
+:func:`update_ledger` and :func:`ledger_history` lift a sampled path
+continuously for callers that only have samples.
 """
 
 from __future__ import annotations

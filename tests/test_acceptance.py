@@ -4,6 +4,7 @@ Each test prints one pass/fail line (run with ``pytest -s`` to see them all)
 and asserts the criterion so the suite stays red until every box is ticked.
 """
 
+import hashlib
 import math
 import time
 
@@ -225,17 +226,20 @@ def test_criterion_8_validator_soundness(tmp_path, capsys):
     _report("criterion 8 (validator soundness)", failures)
 
 
+# Criterion-9 commands, each completed by the path of the file it writes.
+CRITERION_9_COMMANDS = {
+    "trace.csv": ["simulate", "--n", "3", "--radius-m", "0.5", "--out"],
+    "routine.json": ["simulate", "--n", "3", "--out-traj"],
+    "plan.json": ["plan", "--target-deg", "-1234.5", "--out"],
+    "distance.json": ["plan", "--distance-m", "2.25", "--out"],
+    "gait.json": ["gait", "--period-s", "9.5", "--cycles", "2", "--out"],
+}
+
+
 def test_criterion_9_cli_determinism(tmp_path, capsys):
     """Identical invocations of every command produce byte-identical files."""
     failures = []
-    commands = {
-        "trace.csv": ["simulate", "--n", "3", "--radius-m", "0.5", "--out"],
-        "routine.json": ["simulate", "--n", "3", "--out-traj"],
-        "plan.json": ["plan", "--target-deg", "-1234.5", "--out"],
-        "distance.json": ["plan", "--distance-m", "2.25", "--out"],
-        "gait.json": ["gait", "--period-s", "9.5", "--cycles", "2", "--out"],
-    }
-    for filename, argv in commands.items():
+    for filename, argv in CRITERION_9_COMMANDS.items():
         first = tmp_path / ("a_" + filename)
         second = tmp_path / ("b_" + filename)
         if cli_run(argv + [str(first)]) != 0 or cli_run(argv + [str(second)]) != 0:
@@ -245,3 +249,38 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
             failures.append(f"{filename} differs between runs")
     capsys.readouterr()
     _report("criterion 9 (deterministic output)", failures)
+
+
+# sha256 of (stdout, artefact) for each criterion-9 command, recorded before
+# simulation was split into per-segment analysis plus export sampling.
+GOLDEN_SHA256 = {
+    "trace.csv": ("cdede85bf3699e4bfcb01ae780561eb21ea28288c9ce2ee43558d1e15a24b7d7",
+                  "fc9309bb64f8bca4243310f0f634e76aaf3e6082d3e83635068ef56d5a257f69"),
+    "routine.json": ("2b0eb83455e4e918a588c0d03e344680b81575a521358f4514d9f6b374cc4508",
+                     "7bfcf81b83dfd59f2b22c3c565d95fbe06470f4adcaffca36479a0995f80ec67"),
+    "plan.json": ("c3196e9f94b0b0ee3273e52e24e33ae2cae4c9842bcb859d5bfea9f3d4e2d81b",
+                  "5914cd2d002b8ed42f608e73047814fde7bb886065e62679452bab7ad5c43ce8"),
+    "distance.json": ("7b415a6269ac8cfcd5fe8e35a39d6e50d4b601a08410c7326c2a1c2ac635af50",
+                      "3c6c39ec0d349b4541649bb62106714c00d7d5ec81c50a229639809ba9d08fca"),
+    "gait.json": ("a9efc8563ab580330da534e97e9168d0c3498d0098677c124c67470f3558dfa8",
+                  "8823a6f3cb691d5fd93f13eeecae783454ce25f5560684ee02a508cec8851a74"),
+}
+
+
+def test_criterion_9_golden_bytes(tmp_path, capsys):
+    """The criterion-9 commands print and write exactly the recorded bytes,
+    so their output cannot drift between versions either."""
+    failures = []
+    for filename, argv in CRITERION_9_COMMANDS.items():
+        path = tmp_path / filename
+        capsys.readouterr()
+        if cli_run(argv + [str(path)]) != 0:
+            failures.append(f"{argv[0]} did not exit cleanly")
+            continue
+        stdout = capsys.readouterr().out.encode("utf-8")
+        got = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(path.read_bytes()).hexdigest())
+        if got[0] != GOLDEN_SHA256[filename][0]:
+            failures.append(f"{filename}: stdout differs from the recorded bytes")
+        if got[1] != GOLDEN_SHA256[filename][1]:
+            failures.append(f"{filename}: artefact differs from the recorded bytes")
+    _report("criterion 9 (golden bytes)", failures)

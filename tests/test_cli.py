@@ -5,8 +5,13 @@ import json
 import pytest
 
 from homeowheel.cli import run
-from homeowheel.executor import Trajectory, read_trajectory_file, write_trajectory_file
-from homeowheel.mechanism import ServoState
+from homeowheel.executor import (
+    Trajectory,
+    Waypoint,
+    read_trajectory_file,
+    write_trajectory_file,
+)
+from homeowheel.mechanism import ServoLimits, ServoState
 from homeowheel.planner import count_engaged_sweeps
 
 
@@ -143,6 +148,22 @@ class TestCheckCommand:
         code, stdout, _ = invoke(capsys, "check", str(path))
         assert code == 1
         assert "RangeViolation servo1" in stdout
+
+    def test_fast_full_range_s2_sweep_is_clean(self, capsys, tmp_path):
+        # One 0.01 s segment from s2 = -170 to +170: valid, and its twist
+        # peaks at the waypoints, never at a wrapped -190.
+        limits = ServoLimits(s2_range=(-170.0, 170.0), s1_max_rate=1e5,
+                             s2_max_rate=1e5, s3_max_rate=1e5)
+        trajectory = Trajectory(limits=limits, waypoints=(
+            Waypoint(0.0, ServoState(0.0, -170.0, 0.0)),
+            Waypoint(0.01, ServoState(0.0, 170.0, 0.0))))
+        path = tmp_path / "s2_wrap.json"
+        write_trajectory_file(trajectory, path)
+        code, stdout, _ = invoke(capsys, "check", str(path))
+        assert code == 0
+        assert "ok=1" in stdout.splitlines()
+        assert "integrity_ok=1" in stdout.splitlines()
+        assert "max_twist_body_gantry_deg=170.000000000" in stdout.splitlines()
 
     def test_truncated_file_exits_three(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

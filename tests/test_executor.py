@@ -29,7 +29,7 @@ from homeowheel.executor import (
     validate_trajectory,
     write_trajectory_file,
 )
-from homeowheel.mechanism import MechanismGeometry, ServoLimits, ServoState
+from homeowheel.mechanism import GIMBAL_TOL, MechanismGeometry, ServoLimits, ServoState
 
 S = ServoState
 
@@ -119,6 +119,17 @@ class TestSimulate:
         assert len(risky) == 1
         flagged = [s for s in trace.samples if s.event_flags & FLAG_GIMBAL_LOCK_RISK]
         assert flagged
+
+    @pytest.mark.parametrize("sample_rate", [49.0, 50.0, 0.001])
+    def test_gimbal_crossing_found_at_any_sample_rate(self, sample_rate):
+        # (s2, s3) crosses (0, 0) only at alpha = 1/2, which no sample hits
+        # when the segment gets an odd number of subdivisions.
+        trajectory = make_trajectory([(0, -90, 90), (10, 90, -90)])
+        trace = simulate(trajectory, sample_rate=sample_rate)
+        risky = [e for e in trace.events if e.kind == EVENT_GIMBAL_LOCK_RISK]
+        assert len(risky) == 1
+        # Timed where both servos enter the tolerance zone around zero.
+        assert risky[0].t == pytest.approx((90.0 - GIMBAL_TOL) / 180.0, rel=0.0, abs=1e-12)
 
     def test_mixed_configuration_segment_holds_the_wheel(self):
         trajectory = make_trajectory([(0, 90, -90), (90, -90, 90)])

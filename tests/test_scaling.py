@@ -3,7 +3,7 @@
 import pytest
 
 from homeowheel.errors import InvalidParameter, ZeroDistance
-from homeowheel.executor import Trajectory, build_rotate_wheel_2n, simulate
+from homeowheel.executor import Trajectory, analyse, build_rotate_wheel_2n
 from homeowheel.mechanism import MechanismGeometry, ServoState
 from homeowheel.scaling import ScalingModel, cost_of_transport, scale
 
@@ -49,53 +49,50 @@ class TestScale:
 
 
 class TestCostOfTransport:
-    def _routine_trace(self, radius=0.5, sample_rate=50.0):
+    def _routine_motion(self, radius=0.5):
         geometry = MechanismGeometry(wheel_radius=radius)
-        return simulate(build_rotate_wheel_2n(1, geometry=geometry),
-                        sample_rate=sample_rate)
+        return analyse(build_rotate_wheel_2n(1, geometry=geometry))
 
     def test_zero_torque_costs_nothing(self):
-        trace = self._routine_trace()
-        assert cost_of_transport(trace, (0.0, 0.0, 0.0), 1.0) == 0.0
+        motion = self._routine_motion()
+        assert cost_of_transport(motion, (0.0, 0.0, 0.0), 1.0) == 0.0
 
     def test_canonical_routine_hand_integral(self):
         # Shaft torque 1 N.m only. The shaft travels 0 -> 360 -> 0, i.e.
         # 720 deg = 4*pi rad, so E = 4*pi J. Distance is two circumferences
         # of a 0.5 m wheel = 2*pi m. CoT = 4*pi / (1 * 9.81 * 2*pi) = 2/9.81.
-        trace = self._routine_trace(radius=0.5)
-        cot = cost_of_transport(trace, (1.0, 0.0, 0.0), 1.0, gravity=9.81)
-        assert abs(cot - 2.0 / 9.81) < 1e-9
+        motion = self._routine_motion(radius=0.5)
+        cot = cost_of_transport(motion, (1.0, 0.0, 0.0), 1.0, gravity=9.81)
+        assert abs(cot - 2.0 / 9.81) < 1e-15
         assert abs(cot - 0.2039) < 1e-4
 
     def test_doubling_torques_doubles_the_cost(self):
-        trace = self._routine_trace()
-        single = cost_of_transport(trace, (1.0, 0.5, 0.25), 1.0)
-        double = cost_of_transport(trace, (2.0, 1.0, 0.5), 1.0)
-        assert abs(double - 2.0 * single) < 1e-12 * double
+        motion = self._routine_motion()
+        single = cost_of_transport(motion, (1.0, 0.5, 0.25), 1.0)
+        double = cost_of_transport(motion, (2.0, 1.0, 0.5), 1.0)
+        assert double == 2.0 * single
 
     def test_invariant_under_time_reparameterization(self):
-        # The proxy depends on joint angles only; stretching all durations
-        # leaves it unchanged up to sampling round-off.
+        # The proxy depends on joint angles only, summed per segment, so
+        # stretching all durations leaves it exactly unchanged.
         geometry = MechanismGeometry(wheel_radius=0.5)
-        fast = simulate(build_rotate_wheel_2n(1, segment_duration=1.0, geometry=geometry))
-        slow = simulate(build_rotate_wheel_2n(1, segment_duration=7.3, geometry=geometry))
+        fast = analyse(build_rotate_wheel_2n(1, segment_duration=1.0, geometry=geometry))
+        slow = analyse(build_rotate_wheel_2n(1, segment_duration=7.3, geometry=geometry))
         torques = (1.0, 0.7, 0.3)
-        a = cost_of_transport(fast, torques, 2.0)
-        b = cost_of_transport(slow, torques, 2.0)
-        assert abs(a - b) < 1e-9 * abs(a)
+        assert cost_of_transport(fast, torques, 2.0) == cost_of_transport(slow, torques, 2.0)
 
     def test_zero_distance_is_an_error(self):
         trajectory = Trajectory.from_states(
             [ServoState(0.0, 0.0, 0.0), ServoState(0.0, 45.0, 0.0)])
-        trace = simulate(trajectory)
+        motion = analyse(trajectory)
         with pytest.raises(ZeroDistance):
-            cost_of_transport(trace, (1.0, 1.0, 1.0), 1.0)
+            cost_of_transport(motion, (1.0, 1.0, 1.0), 1.0)
 
     def test_rejects_bad_arguments(self):
-        trace = self._routine_trace()
+        motion = self._routine_motion()
         with pytest.raises(InvalidParameter):
-            cost_of_transport(trace, (1.0, 1.0), 1.0)
+            cost_of_transport(motion, (1.0, 1.0), 1.0)
         with pytest.raises(InvalidParameter):
-            cost_of_transport(trace, (1.0, 1.0, 1.0), 0.0)
+            cost_of_transport(motion, (1.0, 1.0, 1.0), 0.0)
         with pytest.raises(InvalidParameter):
-            cost_of_transport(trace, (1.0, 1.0, 1.0), 1.0, gravity=0.0)
+            cost_of_transport(motion, (1.0, 1.0, 1.0), 1.0, gravity=0.0)

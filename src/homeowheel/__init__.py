@@ -21,6 +21,7 @@ from .executor import (
     Waypoint,
     analyse,
     build_rotate_wheel_2n,
+    parse_config,
     parse_trajectory,
     read_trajectory_file,
     segment_drive,

@@ -13,7 +13,6 @@ error, 3 file parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -29,13 +28,14 @@ from .executor import (
     Policy,
     analyse,
     build_rotate_wheel_2n,
+    parse_config,
     read_trajectory_file,
     simulate,
     validate_trajectory,
     write_trace_file,
     write_trajectory_file,
 )
-from .mechanism import DEFAULT_GEOMETRY, DEFAULT_LIMITS, MechanismGeometry, ServoLimits
+from .mechanism import MechanismGeometry, ServoLimits
 from .planner import count_engaged_sweeps, generate_gait, plan_distance, plan_rotation
 from .scaling import ScalingModel, scale
 
@@ -86,55 +86,13 @@ def _length_list(text: str) -> list[float]:
     return [_positive_float(piece.strip()) for piece in items]
 
 
-def _policy(text: str) -> Policy:
-    return Policy(text)
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidParameter(f"cannot read config {path!r}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidParameter(f"config {path!r} must be a JSON object")
-    return doc
-
-
 def _resolve_setup(args) -> tuple[MechanismGeometry, ServoLimits]:
     """Defaults, overridden by --config, overridden by explicit flags."""
-    config = _load_config(getattr(args, "config", None))
     try:
-        geometry = MechanismGeometry(
-            wheel_radius=config.get("wheel_radius_m", DEFAULT_GEOMETRY.wheel_radius),
-            gantry_offset=config.get("gantry_offset_m", DEFAULT_GEOMETRY.gantry_offset),
-            upper_link_length=config.get("upper_link_length_m",
-                                         DEFAULT_GEOMETRY.upper_link_length),
-            lower_link_length=config.get("lower_link_length_m",
-                                         DEFAULT_GEOMETRY.lower_link_length),
-        )
-        ranges = config.get("servo_ranges_deg", {})
-        rates = config.get("max_rates_deg_per_s", {})
-        limits = ServoLimits(
-            s1_range=tuple(ranges.get("s1", DEFAULT_LIMITS.s1_range)),
-            s2_range=tuple(ranges.get("s2", DEFAULT_LIMITS.s2_range)),
-            s3_range=tuple(ranges.get("s3", DEFAULT_LIMITS.s3_range)),
-            s1_max_rate=rates.get("s1", DEFAULT_LIMITS.s1_max_rate),
-            s2_max_rate=rates.get("s2", DEFAULT_LIMITS.s2_max_rate),
-            s3_max_rate=rates.get("s3", DEFAULT_LIMITS.s3_max_rate),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameter(f"invalid config: {exc}") from exc
-    radius = getattr(args, "radius_m", None)
-    if radius is not None:
-        geometry = MechanismGeometry(
-            wheel_radius=radius,
-            gantry_offset=geometry.gantry_offset,
-            upper_link_length=geometry.upper_link_length,
-            lower_link_length=geometry.lower_link_length,
-        )
-    return geometry, limits
+        text = b"{}" if args.config is None else Path(args.config).read_bytes()
+        return parse_config(text, {"wheel_radius": args.radius_m})
+    except (OSError, TrajectoryParseError) as exc:
+        raise InvalidParameter(f"invalid config {args.config!r}: {exc}") from exc
 
 
 def _validate(trajectory, policy) -> list:
@@ -251,15 +209,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate, plan, and verify motions of the homeostatic wheel mechanism.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_radius=True):
-        p.add_argument("--sample-rate-hz", type=_positive_float, default=50.0,
-                       help="trace sampling rate (default 50)")
-        p.add_argument("--policy", type=_policy, choices=list(Policy), default=Policy.STRICT,
+    def add_common(p, with_setup=True):
+        p.add_argument("--policy", type=Policy, choices=list(Policy), default=Policy.STRICT,
                        metavar="strict|lenient",
                        help="strict rejects disengaged shaft motion (default strict)")
-        p.add_argument("--config", default=None,
-                       help="JSON file overriding geometry and servo limits")
-        if with_radius:
+        if with_setup:
+            p.add_argument("--config", default=None,
+                           help="JSON file overriding geometry and servo limits")
             p.add_argument("--radius-m", type=_positive_float, default=None,
                            help="wheel radius in meters (default 0.10)")
 
@@ -268,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of loop iterations (wheel turns 720 deg each)")
     p_sim.add_argument("--out", default=None, help="trace CSV output path")
     p_sim.add_argument("--out-traj", default=None, help="also write the trajectory file here")
+    p_sim.add_argument("--sample-rate-hz", type=_positive_float, default=50.0,
+                       help="trace sampling rate for --out (default 50)")
     add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -292,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="verify a trajectory file")
     p_check.add_argument("trajectory", help="trajectory file to check")
-    add_common(p_check, with_radius=False)
+    add_common(p_check, with_setup=False)
     p_check.set_defaults(func=cmd_check)
 
     p_scale = sub.add_parser("scale", help="report the size scaling laws")
@@ -322,10 +280,7 @@ def run(argv=None) -> int:
         for violation in exc.violations:
             print(f"violation={violation}")
         return EXIT_VIOLATION
-    except InvalidParameter as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (InvalidParameter, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,7 +17,8 @@ File formats (versioned, deterministic byte output):
 * Trajectory file: JSON with a header (format_version, wheel radius, link
   lengths, servo ranges, max rates) and a ``waypoints`` array of
   ``{t, s1, s2, s3}`` objects. Angles in degrees, time in seconds, exact
-  decimal text.
+  decimal text, every number finite.
+* Config (:func:`parse_config`): any subset of the header keys, same parser.
 * Trace export: comma-delimited text, one row per sample
   ``t,s1,s2,s3,theta_wheel_deg,x_m,engaged,event_flags`` with a mandatory
   header row and values printed to 9 significant digits.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Union
@@ -464,26 +466,29 @@ def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
 # Trajectory file format
 
 
+# Header key of each MechanismGeometry field, in file order.
+_GEOMETRY_KEYS = {"wheel_radius": "wheel_radius_m", "gantry_offset": "gantry_offset_m",
+                  "upper_link_length": "upper_link_length_m",
+                  "lower_link_length": "lower_link_length_m"}
+_SERVOS = ("s1", "s2", "s3")
+_FLOAT_MAX = sys.float_info.max
+
+
+def _header(geometry: MechanismGeometry, limits: ServoLimits) -> dict:
+    """The header of the trajectory file format, in file order."""
+    return {
+        "format_version": TRAJECTORY_FORMAT_VERSION,
+        **{key: getattr(geometry, field) for field, key in _GEOMETRY_KEYS.items()},
+        "servo_ranges_deg": {s: list(limits.range_of(s)) for s in _SERVOS},
+        "max_rates_deg_per_s": {s: limits.rate_of(s) for s in _SERVOS},
+    }
+
+
 def trajectory_to_json(trajectory: Trajectory) -> str:
     """Serialize to the versioned trajectory file format (deterministic bytes)."""
-    g, l = trajectory.geometry, trajectory.limits
-    doc = {
-        "format_version": TRAJECTORY_FORMAT_VERSION,
-        "wheel_radius_m": g.wheel_radius,
-        "gantry_offset_m": g.gantry_offset,
-        "upper_link_length_m": g.upper_link_length,
-        "lower_link_length_m": g.lower_link_length,
-        "servo_ranges_deg": {
-            "s1": list(l.s1_range), "s2": list(l.s2_range), "s3": list(l.s3_range),
-        },
-        "max_rates_deg_per_s": {
-            "s1": l.s1_max_rate, "s2": l.s2_max_rate, "s3": l.s3_max_rate,
-        },
-        "waypoints": [
-            {"t": wp.t, "s1": wp.state.s1, "s2": wp.state.s2, "s3": wp.state.s3}
-            for wp in trajectory.waypoints
-        ],
-    }
+    doc = _header(trajectory.geometry, trajectory.limits)
+    doc["waypoints"] = [{"t": wp.t, "s1": wp.state.s1, "s2": wp.state.s2, "s3": wp.state.s3}
+                        for wp in trajectory.waypoints]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -491,15 +496,39 @@ def write_trajectory_file(trajectory: Trajectory, path) -> None:
     Path(path).write_text(trajectory_to_json(trajectory), encoding="utf-8")
 
 
+def _load_object(text: str | bytes) -> dict:
+    """The lexical layer shared by trajectory files and configs: a UTF-8 JSON
+    object without NaN or Infinity."""
+    def reject_constant(name: str):
+        raise TrajectoryParseError(f"non-finite number {name!r} is not allowed")
+
+    try:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text,
+                         parse_constant=reject_constant)
+    except json.JSONDecodeError as exc:
+        raise TrajectoryParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, huge integer, deep nesting
+        raise TrajectoryParseError(f"unreadable JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise TrajectoryParseError("top level must be an object", location="$")
+    return doc
+
+
+def _number(value, key: str, location: str) -> float:
+    # abs(value) <= max also rejects inf, NaN and integers beyond the float range.
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and abs(value) <= _FLOAT_MAX):
+        raise TrajectoryParseError(f"field {key!r} must be a finite number",
+                                   location=f"{location}.{key}")
+    return float(value)
+
+
 def _require(obj: dict, key: str, kind, location: str):
     if key not in obj:
         raise TrajectoryParseError(f"missing required field {key!r}", location=location)
     value = obj[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise TrajectoryParseError(f"field {key!r} must be a number",
-                                       location=f"{location}.{key}")
-        return float(value)
+        return _number(value, key, location)
     if not isinstance(value, kind):
         raise TrajectoryParseError(f"field {key!r} has the wrong type",
                                    location=f"{location}.{key}")
@@ -508,49 +537,37 @@ def _require(obj: dict, key: str, kind, location: str):
 
 def _pair(obj: dict, key: str, location: str) -> tuple[float, float]:
     value = _require(obj, key, list, location)
-    if len(value) != 2 or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                              for v in value):
+    if len(value) != 2:
         raise TrajectoryParseError(f"field {key!r} must be a [min, max] pair",
                                    location=f"{location}.{key}")
-    return (float(value[0]), float(value[1]))
+    return (_number(value[0], key, location), _number(value[1], key, location))
 
 
-def parse_trajectory(text: str) -> Trajectory:
+def _parse_header(doc: dict, location: str) -> tuple[MechanismGeometry, ServoLimits]:
+    """Geometry and limits from the header keys of ``doc``, all required."""
+    try:
+        geometry = MechanismGeometry(**{field: _require(doc, key, float, location)
+                                        for field, key in _GEOMETRY_KEYS.items()})
+        ranges = _require(doc, "servo_ranges_deg", dict, location)
+        rates = _require(doc, "max_rates_deg_per_s", dict, location)
+        limits = ServoLimits(
+            *(_pair(ranges, s, f"{location}.servo_ranges_deg") for s in _SERVOS),
+            *(_require(rates, s, float, f"{location}.max_rates_deg_per_s") for s in _SERVOS))
+    except InvalidParameter as exc:
+        raise TrajectoryParseError(f"invalid header value: {exc}", location=location) from exc
+    return geometry, limits
+
+
+def parse_trajectory(text: str | bytes) -> Trajectory:
     """Parse the trajectory file format; raises :class:`TrajectoryParseError`
     with line/column (lexical) or location (schema) diagnostics."""
-    def reject_constant(name: str):
-        raise TrajectoryParseError(f"non-finite number {name!r} is not allowed")
-
-    try:
-        doc = json.loads(text, parse_constant=reject_constant)
-    except json.JSONDecodeError as exc:
-        raise TrajectoryParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
-    if not isinstance(doc, dict):
-        raise TrajectoryParseError("top level must be an object", location="$")
+    doc = _load_object(text)
     version = _require(doc, "format_version", int, "$")
     if version != TRAJECTORY_FORMAT_VERSION:
         raise TrajectoryParseError(
             f"unsupported format_version {version!r} "
             f"(expected {TRAJECTORY_FORMAT_VERSION})", location="$.format_version")
-    try:
-        geometry = MechanismGeometry(
-            wheel_radius=_require(doc, "wheel_radius_m", float, "$"),
-            gantry_offset=_require(doc, "gantry_offset_m", float, "$"),
-            upper_link_length=_require(doc, "upper_link_length_m", float, "$"),
-            lower_link_length=_require(doc, "lower_link_length_m", float, "$"),
-        )
-        ranges = _require(doc, "servo_ranges_deg", dict, "$")
-        rates = _require(doc, "max_rates_deg_per_s", dict, "$")
-        limits = ServoLimits(
-            s1_range=_pair(ranges, "s1", "$.servo_ranges_deg"),
-            s2_range=_pair(ranges, "s2", "$.servo_ranges_deg"),
-            s3_range=_pair(ranges, "s3", "$.servo_ranges_deg"),
-            s1_max_rate=_require(rates, "s1", float, "$.max_rates_deg_per_s"),
-            s2_max_rate=_require(rates, "s2", float, "$.max_rates_deg_per_s"),
-            s3_max_rate=_require(rates, "s3", float, "$.max_rates_deg_per_s"),
-        )
-    except InvalidParameter as exc:
-        raise TrajectoryParseError(f"invalid header value: {exc}", location="$") from exc
+    geometry, limits = _parse_header(doc, "$")
     raw_waypoints = _require(doc, "waypoints", list, "$")
     if not raw_waypoints:
         raise TrajectoryParseError("waypoints must be non-empty", location="$.waypoints")
@@ -568,8 +585,23 @@ def parse_trajectory(text: str) -> Trajectory:
     return Trajectory(geometry=geometry, limits=limits, waypoints=tuple(waypoints))
 
 
+def parse_config(text: str | bytes, overrides: dict | None = None
+                 ) -> tuple[MechanismGeometry, ServoLimits]:
+    """Geometry and limits from a config: any of the trajectory header keys,
+    laid over the defaults' header (per servo for ranges and rates), then the
+    non-None ``overrides``, keyed by geometry field (``{"wheel_radius": 0.5}``),
+    on top; parsed as strictly as a trajectory file header."""
+    doc = _header(DEFAULT_GEOMETRY, DEFAULT_LIMITS)
+    for key, value in _load_object(text).items():
+        if isinstance(value, dict) and isinstance(doc.get(key), dict):
+            value = {**doc[key], **value}
+        doc[key] = value
+    doc.update({_GEOMETRY_KEYS[f]: v for f, v in (overrides or {}).items() if v is not None})
+    return _parse_header(doc, "$")
+
+
 def read_trajectory_file(path) -> Trajectory:
-    return parse_trajectory(Path(path).read_text(encoding="utf-8"))
+    return parse_trajectory(Path(path).read_bytes())
 
 
 # --------------------------------------------------------------------------

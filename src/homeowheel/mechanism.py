@@ -32,6 +32,7 @@ here is safe to share across threads or processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +80,10 @@ class ServoLimits:
     def __post_init__(self):
         for name in ("s1", "s2", "s3"):
             lo, hi = getattr(self, f"{name}_range")
-            if not lo < hi:
-                raise InvalidParameter(f"{name}_range must have min < max, got ({lo}, {hi})")
-            if not getattr(self, f"{name}_max_rate") > 0.0:
-                raise InvalidParameter(f"{name}_max_rate must be positive")
+            if not -math.inf < lo < hi < math.inf:
+                raise InvalidParameter(f"{name}_range must have finite min < max, got ({lo}, {hi})")
+            if not 0.0 < getattr(self, f"{name}_max_rate") < math.inf:
+                raise InvalidParameter(f"{name}_max_rate must be positive and finite")
 
     def range_of(self, servo: str) -> tuple[float, float]:
         return getattr(self, f"{servo}_range")
@@ -104,11 +105,11 @@ class MechanismGeometry:
     lower_link_length: float = 0.15
 
     def __post_init__(self):
-        if not self.wheel_radius > 0.0:
-            raise InvalidParameter(f"wheel_radius must be positive, got {self.wheel_radius!r}")
+        if not 0.0 < self.wheel_radius < math.inf:
+            raise InvalidParameter(f"wheel_radius must be in (0, inf), got {self.wheel_radius!r}")
         for name in ("gantry_offset", "upper_link_length", "lower_link_length"):
-            if not getattr(self, name) >= 0.0:
-                raise InvalidParameter(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InvalidParameter(f"{name} must be non-negative and finite")
 
 
 DEFAULT_GEOMETRY = MechanismGeometry()

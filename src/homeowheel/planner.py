@@ -34,6 +34,8 @@ from .mechanism import (
 FORWARD_CONFIG = (90.0, -90.0)
 #: (s2, s3) of the configuration where increasing s1 rolls the wheel backward.
 BACKWARD_CONFIG = (-90.0, 90.0)
+#: Most engaged sweeps :func:`plan_rotation` plans (3.6e7 deg at the default span).
+MAX_PLAN_SWEEPS = 100_000
 
 
 def _check_configs_reachable(limits: ServoLimits) -> None:
@@ -86,7 +88,10 @@ def plan_rotation(target_deg: float, start: ServoState = HOME_STATE,
 
     The emitted trajectory passes strict validation and, replayed through
     the simulator, advances the wheel by the target to well under 1e-9 deg.
-    The number of engaged sweeps never exceeds ceil(|target| / 360) + 1.
+    The first sweep travels at most ``first = max(s1_max - s1, s1 - s1_min)``
+    from ``start``, each later one the whole s1 span, so a nonzero target takes
+    1 + ceil(max(|target| - first, 0) / span) <= ceil(|target| / span) + 1
+    engaged sweeps; more than :data:`MAX_PLAN_SWEEPS` raise InvalidParameter.
     """
     if not math.isfinite(target_deg):
         raise InvalidParameter(f"target must be finite, got {target_deg!r}")
@@ -95,10 +100,14 @@ def plan_rotation(target_deg: float, start: ServoState = HOME_STATE,
     violations = validate_state(start, limits)
     if violations:
         raise ValidationFailure(violations)
+    lo, hi = limits.s1_range
     if target_deg != 0.0:
         _check_configs_reachable(limits)
+        later_sweeps = (abs(target_deg) - max(hi - start.s1, start.s1 - lo)) / (hi - lo)
+        if later_sweeps > MAX_PLAN_SWEEPS - 1:
+            raise InvalidParameter(f"target {target_deg!r} deg needs more than "
+                                   f"{MAX_PLAN_SWEEPS} sweeps of the s1 span ({lo}, {hi})")
 
-    lo, hi = limits.s1_range
     builder = _Builder(start, limits, segment_duration)
     remaining = target_deg
     while remaining != 0.0:
@@ -193,7 +202,7 @@ def count_engaged_sweeps(trajectory: Trajectory, tol: float = ENGAGE_TOL) -> int
     """Number of segments that actually turn the wheel.
 
     For greedy plans this equals the number of engage/reconfigure operations,
-    the metric bounded by ceil(|target| / 360) + 1.
+    the metric bounded by ceil(|target| / s1 span) + 1.
     """
     count = 0
     for _, a, b in trajectory.segments():

@@ -11,8 +11,8 @@ from homeowheel.executor import (
     read_trajectory_file,
     write_trajectory_file,
 )
-from homeowheel.mechanism import ServoLimits, ServoState
-from homeowheel.planner import count_engaged_sweeps
+from homeowheel.mechanism import MechanismGeometry, ServoLimits, ServoState
+from homeowheel.planner import MAX_PLAN_SWEEPS, count_engaged_sweeps
 
 
 def invoke(capsys, *argv):
@@ -86,6 +86,17 @@ class TestPlanCommand:
         with pytest.raises(SystemExit) as excinfo:
             run(["plan", "--out", str(tmp_path / "x.json")])
         assert excinfo.value.code == 2
+
+    def test_target_over_the_sweep_cap_is_a_usage_error(self, capsys, tmp_path):
+        # A 1 deg s1 span keeps the cost of a missing guard to seconds.
+        config = tmp_path / "config.json"
+        config.write_text('{"servo_ranges_deg": {"s1": [0, 1]}}')
+        out = tmp_path / "plan.json"
+        code, _, stderr = invoke(capsys, "plan", "--target-deg", str(MAX_PLAN_SWEEPS + 0.5),
+                                 "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert "sweeps" in stderr
+        assert not out.exists()
 
     def test_non_finite_target_is_a_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -230,6 +241,79 @@ class TestConfigAndDeterminism:
         code, _, stderr = invoke(capsys, "simulate", "--n", "1", "--config", str(config))
         assert code == 2
         assert "config" in stderr
+
+    @pytest.mark.parametrize("text", [
+        '{"servo_ranges_deg": [1, 2]}',
+        '{"max_rates_deg_per_s": {"s1": Infinity}}',
+        '{"max_rates_deg_per_s": {"s1": 1e309}}',
+        '{"wheel_radius_m": "big"}',
+        '[]',
+    ])
+    def test_invalid_config_is_a_usage_error(self, capsys, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        for argv in (["gait", "--period-s", "4", "--cycles", "1"],
+                     ["plan", "--target-deg", "90"]):
+            code, stdout, stderr = invoke(capsys, *argv, "--out", str(tmp_path / "o.json"),
+                                          "--config", str(config))
+            assert code == 2
+            assert stdout == ""
+            assert "config" in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "o.json").exists()
+
+    def test_missing_config_is_a_usage_error(self, capsys, tmp_path):
+        code, _, stderr = invoke(capsys, "simulate", "--n", "1",
+                                 "--config", str(tmp_path / "nope.json"))
+        assert code == 2
+        assert "config" in stderr
+
+    def test_trajectory_header_as_config(self, capsys, tmp_path):
+        source = Trajectory(
+            geometry=MechanismGeometry(0.3, 0.0, 0.5, 0.25),
+            limits=ServoLimits((0.0, 100.0), (-95.0, 95.0), (-100.0, 90.0),
+                               50.0, 60.0, 70.0),
+            waypoints=(Waypoint(0.0, ServoState(20.0, 0.0, 0.0)),))
+        config = tmp_path / "header.json"
+        write_trajectory_file(source, config)
+        out = tmp_path / "plan.json"
+        code, _, _ = invoke(capsys, "plan", "--target-deg", "200", "--out", str(out),
+                            "--config", str(config))
+        assert code == 0
+        planned = read_trajectory_file(out)
+        assert planned.geometry == source.geometry
+        assert planned.limits == source.limits
+
+    def test_config_merges_per_servo_and_flag_wins(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"wheel_radius_m": 1, "gantry_offset_m": 0,
+                                      "max_rates_deg_per_s": {"s2": 90}}))
+        out = tmp_path / "gait.json"
+        code, _, _ = invoke(capsys, "gait", "--period-s", "10", "--cycles", "1",
+                            "--out", str(out), "--config", str(config), "--radius-m", "0.25")
+        assert code == 0
+        written = json.loads(out.read_text())
+        assert written["wheel_radius_m"] == 0.25
+        assert written["max_rates_deg_per_s"] == {"s1": 360.0, "s2": 90.0, "s3": 360.0}
+        # integer config values are written as floats, like any parsed header
+        assert '"gantry_offset_m": 0.0,' in out.read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "{traj}", "--config", "{traj}"],
+        ["check", "{traj}", "--radius-m", "0.5"],
+        ["check", "{traj}", "--sample-rate-hz", "5"],
+        ["plan", "--target-deg", "90", "--out", "{out}", "--sample-rate-hz", "5"],
+        ["gait", "--period-s", "8", "--cycles", "1", "--out", "{out}",
+         "--sample-rate-hz", "5"],
+    ])
+    def test_options_a_command_never_reads_are_rejected(self, capsys, tmp_path, argv):
+        traj = tmp_path / "routine.json"
+        write_trajectory_file(Trajectory.from_states([ServoState(0.0, 0.0, 0.0)]), traj)
+        argv = [a.format(traj=traj, out=tmp_path / "o.json") for a in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            run(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
 
     def test_every_command_writes_identical_bytes_twice(self, capsys, tmp_path):
         runs = {

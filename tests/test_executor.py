@@ -20,6 +20,7 @@ from homeowheel.executor import (
     Waypoint,
     WaypointRangeViolation,
     build_rotate_wheel_2n,
+    parse_config,
     parse_trajectory,
     read_trajectory_file,
     segment_drive,
@@ -29,7 +30,14 @@ from homeowheel.executor import (
     validate_trajectory,
     write_trajectory_file,
 )
-from homeowheel.mechanism import GIMBAL_TOL, MechanismGeometry, ServoLimits, ServoState
+from homeowheel.mechanism import (
+    DEFAULT_GEOMETRY,
+    DEFAULT_LIMITS,
+    GIMBAL_TOL,
+    MechanismGeometry,
+    ServoLimits,
+    ServoState,
+)
 
 S = ServoState
 
@@ -334,6 +342,39 @@ class TestTrajectoryFiles:
         with pytest.raises(TrajectoryParseError):
             parse_trajectory(text)
 
+    @pytest.mark.parametrize("old, new, location", [
+        ('"t": 0.0', '"t": 1e309', "$.waypoints[0].t"),
+        ('"s2": 0.0', '"s2": -1e400', "$.waypoints[0].s2"),
+        ('"wheel_radius_m": 0.1', '"wheel_radius_m": 1e309', "$.wheel_radius_m"),
+        ('"wheel_radius_m": 0.1', '"wheel_radius_m": 1' + "0" * 400, "$.wheel_radius_m"),
+        ('"s1": 360.0', '"s1": 1e309', "$.max_rates_deg_per_s.s1"),
+    ])
+    def test_overflowing_numbers_are_rejected_with_their_location(self, old, new, location):
+        text = trajectory_to_json(build_rotate_wheel_2n(1)).replace(old, new, 1)
+        assert new in text
+        with pytest.raises(TrajectoryParseError) as excinfo:
+            parse_trajectory(text)
+        assert excinfo.value.location == location
+
+    def test_overflowing_range_endpoint_is_rejected_with_its_location(self):
+        import json
+        doc = json.loads(trajectory_to_json(build_rotate_wheel_2n(1)))
+        doc["servo_ranges_deg"]["s3"] = [-90.0, 10 ** 400]
+        with pytest.raises(TrajectoryParseError) as excinfo:
+            parse_trajectory(json.dumps(doc))
+        assert excinfo.value.location == "$.servo_ranges_deg.s3"
+
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe not utf-8",
+        b"[" * 100_000,
+        b'{"format_version": 1' + b"0" * 5000 + b"}",
+    ])
+    def test_unreadable_bytes_are_parse_errors(self, data):
+        with pytest.raises(TrajectoryParseError):
+            parse_trajectory(data)
+        with pytest.raises(TrajectoryParseError):
+            parse_config(data)
+
     def test_empty_waypoints_are_rejected(self):
         import json
         doc = json.loads(trajectory_to_json(build_rotate_wheel_2n(1)))
@@ -348,6 +389,54 @@ class TestTrajectoryFiles:
         loaded = parse_trajectory(trajectory_to_json(trajectory))
         assert loaded.geometry == geometry
         assert loaded.limits == limits
+
+
+class TestConfig:
+    def test_every_key_is_optional(self):
+        assert parse_config("{}") == (DEFAULT_GEOMETRY, DEFAULT_LIMITS)
+
+    def test_ranges_and_rates_merge_per_servo(self):
+        geometry, limits = parse_config(
+            '{"gantry_offset_m": 0, "servo_ranges_deg": {"s1": [10, 20]},'
+            ' "max_rates_deg_per_s": {"s3": 45}}')
+        assert geometry == MechanismGeometry(gantry_offset=0.0)
+        assert limits == ServoLimits(s1_range=(10.0, 20.0), s3_max_rate=45.0)
+        assert isinstance(geometry.gantry_offset, float)
+
+    def test_overrides_beat_the_config(self):
+        geometry, _ = parse_config('{"wheel_radius_m": 0.5, "gantry_offset_m": 0.3}',
+                                   {"wheel_radius": 2.0})
+        assert geometry == MechanismGeometry(wheel_radius=2.0, gantry_offset=0.3)
+        # an override also hides a bad config value for the same field
+        geometry, _ = parse_config('{"wheel_radius_m": "big"}', {"wheel_radius": 2.0})
+        assert geometry.wheel_radius == 2.0
+
+    def test_a_trajectory_file_is_a_config_for_its_header(self):
+        trajectory = build_rotate_wheel_2n(
+            1, geometry=MechanismGeometry(0.3, 0.0, 0.5, 0.25),
+            limits=ServoLimits((10.0, 100.0), (-95.0, 95.0), (-100.0, 90.0), 50.0, 60.0, 70.0))
+        assert parse_config(trajectory_to_json(trajectory)) == (trajectory.geometry,
+                                                                trajectory.limits)
+
+    @pytest.mark.parametrize("text, location", [
+        ('[]', "$"),
+        ('{"servo_ranges_deg": [1, 2]}', "$.servo_ranges_deg"),
+        ('{"servo_ranges_deg": {"s2": [1]}}', "$.servo_ranges_deg.s2"),
+        ('{"servo_ranges_deg": {"s2": [1, "2"]}}', "$.servo_ranges_deg.s2"),
+        ('{"max_rates_deg_per_s": {"s1": 1e309}}', "$.max_rates_deg_per_s.s1"),
+        ('{"max_rates_deg_per_s": {"s1": true}}', "$.max_rates_deg_per_s.s1"),
+        ('{"wheel_radius_m": null}', "$.wheel_radius_m"),
+        ('{"wheel_radius_m": -1}', "$"),
+        ('{"servo_ranges_deg": {"s1": [5, 5]}}', "$"),
+    ])
+    def test_bad_values_are_parse_errors_with_their_location(self, text, location):
+        with pytest.raises(TrajectoryParseError) as excinfo:
+            parse_config(text)
+        assert excinfo.value.location == location
+
+    def test_non_finite_constants_are_rejected(self):
+        with pytest.raises(TrajectoryParseError, match="Infinity"):
+            parse_config('{"max_rates_deg_per_s": {"s1": Infinity}}')
 
 
 class TestTraceExport:

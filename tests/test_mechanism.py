@@ -194,6 +194,11 @@ class TestGeometryAndLimits:
             MechanismGeometry(wheel_radius=0.0)
         with pytest.raises(InvalidParameter):
             MechanismGeometry(wheel_radius=-1.0)
+        for field in ("wheel_radius", "gantry_offset", "upper_link_length",
+                      "lower_link_length"):
+            for bad in (math.inf, math.nan):
+                with pytest.raises(InvalidParameter):
+                    MechanismGeometry(**{field: bad})
 
     def test_limits_reject_inverted_range(self):
         from homeowheel.errors import InvalidParameter
@@ -201,6 +206,13 @@ class TestGeometryAndLimits:
             ServoLimits(s2_range=(90.0, -90.0))
         with pytest.raises(InvalidParameter):
             ServoLimits(s1_max_rate=0.0)
+        for servo in ("s1", "s2", "s3"):
+            for bad in ((-math.inf, 90.0), (-90.0, math.inf), (math.nan, 90.0)):
+                with pytest.raises(InvalidParameter):
+                    ServoLimits(**{f"{servo}_range": bad})
+            for bad in (math.inf, math.nan):
+                with pytest.raises(InvalidParameter):
+                    ServoLimits(**{f"{servo}_max_rate": bad})
 
     def test_default_limits_match_the_mechanism_ranges(self):
         assert DEFAULT_LIMITS.s1_range == (0.0, 360.0)

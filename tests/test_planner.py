@@ -11,6 +11,7 @@ from homeowheel.mechanism import MechanismGeometry, ServoLimits, ServoState
 from homeowheel.planner import (
     BACKWARD_CONFIG,
     FORWARD_CONFIG,
+    MAX_PLAN_SWEEPS,
     count_engaged_sweeps,
     generate_gait,
     plan_distance,
@@ -90,6 +91,26 @@ class TestPlanRotation:
             plan_rotation(float("nan"))
         with pytest.raises(InvalidParameter):
             plan_rotation(float("inf"))
+
+    def test_sweep_count_follows_the_s1_span(self):
+        # 1 deg span, start at its middle: the first sweep travels 0.5 deg,
+        # every later one the whole span.
+        limits = ServoLimits(s1_range=(0.0, 1.0))
+        start = ServoState(0.5, 0.0, 0.0)
+        for target, sweeps in ((0.5, 1), (0.75, 2), (1.5, 2), (-2.25, 3), (100.5, 101)):
+            trajectory = plan_rotation(target, start=start, limits=limits)
+            assert count_engaged_sweeps(trajectory) == sweeps
+            assert sweeps <= math.ceil(abs(target) / 1.0) + 1
+
+    def test_rejects_targets_over_the_sweep_cap_before_planning(self):
+        # With a 1 deg span the target below needs MAX_PLAN_SWEEPS + 1 sweeps,
+        # so a missing guard costs seconds of planning, never a hang.
+        limits = ServoLimits(s1_range=(0.0, 1.0))
+        with pytest.raises(InvalidParameter, match="sweeps"):
+            plan_rotation(MAX_PLAN_SWEEPS + 0.5, limits=limits)
+        with pytest.raises(InvalidParameter, match="sweeps"):
+            plan_rotation(-(MAX_PLAN_SWEEPS + 0.5), limits=limits)
+        assert count_engaged_sweeps(plan_rotation(4000.0, limits=limits)) == 4000
 
     def test_rejects_out_of_range_start(self):
         with pytest.raises(ValidationFailure):

@@ -1,6 +1,8 @@
 """Property tests: results are properties of the piecewise-linear path, so
 they hold for any waypoints, limits, tolerances and sample rate."""
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,11 +13,15 @@ from homeowheel.executor import (
     Waypoint,
     WaypointRangeViolation,
     analyse,
+    parse_config,
+    parse_trajectory,
     segment_drive,
     simulate,
+    trajectory_to_json,
     validate_trajectory,
 )
-from homeowheel.mechanism import ServoLimits, ServoState
+from homeowheel.mechanism import MechanismGeometry, ServoLimits, ServoState
+from homeowheel.planner import count_engaged_sweeps, plan_rotation
 from homeowheel.tegument import check_integrity, ledger_from_state
 
 # Angles on a 1/8 deg grid: differences of grid values are exact, so an
@@ -112,3 +118,31 @@ def test_gimbal_risk_flags_segments_that_pass_the_degenerate_pose(trajectory, gi
             assert flagged
         elif closest > gimbal_tol + 1e-9:
             assert not flagged
+
+
+@st.composite
+def geometries(draw):
+    length = st.integers(0, 4000).map(lambda k: k / 1000.0)
+    return MechanismGeometry(draw(length.filter(lambda x: x > 0.0)), draw(length),
+                             draw(length), draw(length))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trajectories(), geometries())
+def test_trajectory_files_round_trip(trajectory, geometry):
+    trajectory = Trajectory(geometry, trajectory.limits, trajectory.waypoints)
+    text = trajectory_to_json(trajectory)
+    assert parse_trajectory(text) == trajectory
+    assert parse_config(text) == (trajectory.geometry, trajectory.limits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 64), st.integers(-2000, 2000))
+def test_plan_sweep_count_is_bounded_by_the_s1_span(span_eighths, start_eighths, target_eighths):
+    span, target = span_eighths / 8.0, target_eighths / 8.0
+    start = ServoState(min(start_eighths, span_eighths) / 8.0, 0.0, 0.0)
+    trajectory = plan_rotation(target, start=start, limits=ServoLimits(s1_range=(0.0, span)))
+    first = max(span - start.s1, start.s1)
+    expected = 0 if target == 0 else 1 + math.ceil(max(abs(target) - first, 0.0) / span)
+    assert count_engaged_sweeps(trajectory) == expected <= math.ceil(abs(target) / span) + 1
+    assert analyse(trajectory).final_theta_deg == target

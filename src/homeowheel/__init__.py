@@ -61,6 +61,7 @@ from .rotations import (
     quat_compose,
     quat_conjugate,
     quat_from_axis_angle,
+    quat_rotate,
     quat_to_matrix,
     rot_x,
     rot_y,

@@ -67,6 +67,20 @@ _RATE_GUARD = 1e-12
 # unwraps the sampled angles sees a continuous path at any sample rate.
 _MAX_SHAFT_STEP = 90.0
 
+# Work bounds. Each size is computed in closed form from the inputs, and a
+# size over its bound raises InvalidParameter before any of the work is done.
+
+#: Most engaged sweeps :func:`homeowheel.planner.plan_rotation` plans
+#: (3.6e7 deg at the default span; about 3 waypoints per sweep).
+MAX_PLAN_SWEEPS = 100_000
+#: Most waypoints :func:`build_rotate_wheel_2n` (6n + 5) and
+#: :func:`homeowheel.planner.generate_gait` (4 cycles + 1) build: about the
+#: size of the largest plan.
+MAX_WAYPOINTS = 300_000
+#: Most samples :func:`simulate` makes for the trace export (13x the 150,201
+#: of ``simulate --n 500`` at 50 Hz).
+MAX_TRACE_SAMPLES = 2_000_000
+
 
 class Policy(enum.Enum):
     """Validation policy: strict rejects disengaged shaft motion, lenient
@@ -266,10 +280,13 @@ def build_rotate_wheel_2n(n: int, segment_duration: float = 1.0,
     sweeps the shaft back down (wheel +360 again), and swaps back; finally
     return s3 and s2 to rest. One waypoint per servo move, in that exact
     order: 6n + 4 segments, ending at the home state with every twist back
-    at zero.
+    at zero. More than :data:`MAX_WAYPOINTS` waypoints raise InvalidParameter.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidParameter(f"n must be a positive integer, got {n!r}")
+    if 6 * n + 5 > MAX_WAYPOINTS:
+        raise InvalidParameter(f"n={n} needs {6 * n + 5} waypoints, "
+                               f"more than MAX_WAYPOINTS ({MAX_WAYPOINTS})")
     states = [
         ServoState(0.0, 0.0, 0.0),
         ServoState(0.0, 0.0, -90.0),
@@ -416,6 +433,17 @@ def analyse(trajectory: Trajectory, *, check: bool = True,
                   integrity)
 
 
+def _subdivisions(seg_dt: float, d_s1: float, sample_rate: float) -> int:
+    """Samples one segment contributes to the trace (its end excluded):
+    ``sample_rate`` per second and one per ``_MAX_SHAFT_STEP`` of shaft
+    travel, at least one. Clamped just above MAX_TRACE_SAMPLES, so an
+    overflowing product still reads as too many."""
+    if not seg_dt > 0.0:
+        return 1
+    count = max(seg_dt * sample_rate, abs(d_s1) / _MAX_SHAFT_STEP, 1.0)
+    return math.ceil(min(count, MAX_TRACE_SAMPLES + 1.0))
+
+
 def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
              check: bool = True, engage_tol: float = ENGAGE_TOL,
              gimbal_tol: float = GIMBAL_TOL) -> SimTrace:
@@ -427,21 +455,24 @@ def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
     (the last sample those of the last segment), and is engaged at a
     waypoint iff that waypoint is, between waypoints iff its segment turns
     the wheel. The keywords are those of :func:`analyse`.
+
+    The sample count is computed first; more than :data:`MAX_TRACE_SAMPLES`
+    raise InvalidParameter.
     """
     if not (math.isfinite(sample_rate) and sample_rate > 0.0):
         raise InvalidParameter(f"sample_rate must be positive, got {sample_rate!r}")
+    counts = [_subdivisions(b.t - a.t, b.state.s1 - a.state.s1, sample_rate)
+              for _, a, b in trajectory.segments()]
+    if sum(counts) + 1 > MAX_TRACE_SAMPLES:
+        raise InvalidParameter(f"sample rate {sample_rate!r} Hz gives more than "
+                               f"MAX_TRACE_SAMPLES ({MAX_TRACE_SAMPLES}) trace samples")
     motion = analyse(trajectory, check=check, engage_tol=engage_tol, gimbal_tol=gimbal_tol)
     radius = trajectory.geometry.wheel_radius
     samples: list[TraceSample] = []
-    for i, a, b in trajectory.segments():
+    for (i, a, b), subdivisions in zip(trajectory.segments(), counts):
         seg_dt = b.t - a.t
         d_s1 = b.state.s1 - a.state.s1
         drive, flags, theta = motion.drives[i], motion.flags[i], motion.theta_deg[i]
-        if seg_dt > 0.0:
-            subdivisions = max(int(math.ceil(seg_dt * sample_rate)),
-                               int(math.ceil(abs(d_s1) / _MAX_SHAFT_STEP)), 1)
-        else:
-            subdivisions = 1
         samples.append(TraceSample(a.t, a.state, theta, radius * math.radians(theta),
                                    engaged(a.state, engage_tol), flags))
         for j in range(1, subdivisions):
@@ -529,7 +560,7 @@ def _require(obj: dict, key: str, kind, location: str):
     value = obj[key]
     if kind is float:
         return _number(value, key, location)
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise TrajectoryParseError(f"field {key!r} has the wrong type",
                                    location=f"{location}.{key}")
     return value

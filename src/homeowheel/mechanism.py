@@ -34,15 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import add
 
 from .errors import InvalidParameter, ValidationFailure
 from .rotations import (
     IDENTITY_QUATERNION,
     UnitQuaternion,
     quat_compose,
-    quat_to_matrix,
+    quat_rotate,
     rot_x,
     rot_z,
 )
@@ -209,27 +208,17 @@ def forward_kinematics(geometry: MechanismGeometry, state: ServoState,
     if violations:
         raise ValidationFailure(violations)
 
-    body = Pose(IDENTITY_QUATERNION, (0.0, 0.0, 0.0))
     q_gantry = rot_x(state.s2)
-    p_gantry = np.array([0.0, 0.0, geometry.gantry_offset])
     q_shaft = quat_compose(q_gantry, rot_z(state.s1))
-    p_tip = p_gantry + quat_to_matrix(q_gantry) @ np.array(
-        [0.0, 0.0, geometry.upper_link_length])
     q_wrist = quat_compose(q_shaft, rot_x(state.s3))
-    p_wrist = p_tip + quat_to_matrix(q_shaft) @ np.array(
-        [geometry.lower_link_length, 0.0, 0.0])
-
-    tip = Pose(q_shaft, _as_tuple(p_tip))
-    wrist = Pose(q_wrist, _as_tuple(p_wrist))
+    p_gantry = (0.0, 0.0, geometry.gantry_offset)
+    p_tip = tuple(map(add, p_gantry, quat_rotate(q_gantry, (0.0, 0.0, geometry.upper_link_length))))
+    p_wrist = tuple(map(add, p_tip, quat_rotate(q_shaft, (geometry.lower_link_length, 0.0, 0.0))))
     return FramePoses(
-        body=body,
-        gantry=Pose(q_gantry, _as_tuple(p_gantry)),
-        center_shaft_tip=tip,
-        elbow=tip,      # fixed bend: same frame, redirects the lower link
-        wrist=wrist,
-        wheel_hub=wrist,  # hub sits on the wrist; wheel spin is the clutch DOF
+        body=Pose(IDENTITY_QUATERNION, (0.0, 0.0, 0.0)),
+        gantry=Pose(q_gantry, p_gantry),
+        center_shaft_tip=Pose(q_shaft, p_tip),
+        elbow=Pose(q_shaft, p_tip),  # fixed bend: same frame, redirects the lower link
+        wrist=Pose(q_wrist, p_wrist),
+        wheel_hub=Pose(q_wrist, p_wrist),  # hub sits on the wrist; wheel spin is the clutch DOF
     )
-
-
-def _as_tuple(vec: np.ndarray) -> tuple[float, float, float]:
-    return (float(vec[0]), float(vec[1]), float(vec[2]))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidParameter, RateInfeasible, ValidationFailure
-from .executor import Trajectory, Waypoint, segment_drive
+from .executor import MAX_PLAN_SWEEPS, MAX_WAYPOINTS, Trajectory, Waypoint, segment_drive
 from .mechanism import (
     DEFAULT_GEOMETRY,
     DEFAULT_LIMITS,
@@ -34,8 +34,6 @@ from .mechanism import (
 FORWARD_CONFIG = (90.0, -90.0)
 #: (s2, s3) of the configuration where increasing s1 rolls the wheel backward.
 BACKWARD_CONFIG = (-90.0, 90.0)
-#: Most engaged sweeps :func:`plan_rotation` plans (3.6e7 deg at the default span).
-MAX_PLAN_SWEEPS = 100_000
 
 
 def _check_configs_reachable(limits: ServoLimits) -> None:
@@ -163,10 +161,14 @@ def generate_gait(period_s: float, cycles: int,
     forward driving configuration (s1=0, s2=+90, s3=-90).
 
     Raises :class:`RateInfeasible` when the period cannot fit a 360 deg
-    sweep at the shaft rate limit plus the 180 deg swap dwells.
+    sweep at the shaft rate limit plus the 180 deg swap dwells, and
+    InvalidParameter when the 4 cycles + 1 waypoints exceed MAX_WAYPOINTS.
     """
     if isinstance(cycles, bool) or not isinstance(cycles, int) or cycles < 1:
         raise InvalidParameter(f"cycles must be a positive integer, got {cycles!r}")
+    if 4 * cycles + 1 > MAX_WAYPOINTS:
+        raise InvalidParameter(f"{cycles} cycles need {4 * cycles + 1} waypoints, "
+                               f"more than MAX_WAYPOINTS ({MAX_WAYPOINTS})")
     if not (math.isfinite(period_s) and period_s > 0.0):
         raise InvalidParameter(f"period must be positive, got {period_s!r}")
     _check_configs_reachable(limits)

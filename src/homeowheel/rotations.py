@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
-
-import numpy as np
 
 from .errors import InvalidAxis
 
@@ -60,18 +59,20 @@ def _unit(w: float, x: float, y: float, z: float) -> UnitQuaternion:
 def quat_from_axis_angle(axis: Sequence[float], angle_deg: float) -> UnitQuaternion:
     """Quaternion for a rotation of ``angle_deg`` degrees about a unit axis.
 
-    Raises :class:`InvalidAxis` unless |axis| = 1 within ``AXIS_NORM_TOL``.
+    Raises :class:`InvalidAxis` unless ``axis`` is a sequence (or 1-D array)
+    of three real numbers with |axis| = 1 within ``AXIS_NORM_TOL``.
     Note the half-angle: 360 deg yields (-1, 0, 0, 0), not the identity.
     """
-    ax = np.asarray(axis, dtype=float)
-    if ax.shape != (3,):
-        raise InvalidAxis(f"axis must be a 3-vector, got shape {ax.shape}")
-    norm = float(np.sqrt(ax[0] * ax[0] + ax[1] * ax[1] + ax[2] * ax[2]))
+    try:
+        x, y, z = (float(c) if isinstance(c, Real) else math.nan for c in axis)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidAxis(f"axis must be a sequence of 3 numbers, got {axis!r}") from None
+    norm = math.sqrt(x * x + y * y + z * z)
     if not abs(norm - 1.0) <= AXIS_NORM_TOL:
-        raise InvalidAxis(f"axis must be unit length, |axis| = {norm!r}")
+        raise InvalidAxis(f"axis must be 3 real numbers of unit norm, |axis| = {norm!r}")
     half = math.radians(angle_deg) / 2.0
     s = math.sin(half)
-    return _unit(math.cos(half), s * float(ax[0]), s * float(ax[1]), s * float(ax[2]))
+    return _unit(math.cos(half), s * x, s * y, s * z)
 
 
 def quat_compose(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
@@ -83,17 +84,26 @@ def quat_compose(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     return _unit(w, x, y, z)
 
 
+def quat_rotate(q: UnitQuaternion, v: Sequence[float]) -> tuple[float, float, float]:
+    """``v`` rotated by ``q``: v + w*t + u x t with u = (x, y, z), t = 2 u x v."""
+    (w, x, y, z), (vx, vy, vz) = (q.w, q.x, q.y, q.z), v
+    tx, ty, tz = 2.0 * (y * vz - z * vy), 2.0 * (z * vx - x * vz), 2.0 * (x * vy - y * vx)
+    return (vx + w * tx + (y * tz - z * ty), vy + w * ty + (z * tx - x * tz),
+            vz + w * tz + (x * ty - y * tx))
+
+
 def quat_conjugate(q: UnitQuaternion) -> UnitQuaternion:
     """Conjugate; for unit quaternions this is the inverse rotation."""
     return UnitQuaternion(q.w, -q.x, -q.y, -q.z)
 
 
-def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
-    """3x3 rotation matrix for ``q``.
+def quat_to_matrix(q: UnitQuaternion):
+    """3x3 rotation matrix (numpy array) for ``q``.
 
     The formula uses only pairwise products, so q and -q produce bitwise
     identical matrices.
     """
+    import numpy as np
     w, x, y, z = q.w, q.x, q.y, q.z
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
@@ -107,6 +117,7 @@ def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:
 
 def is_rotation_matrix(mat, tol: float = 1e-10) -> bool:
     """True iff ``mat`` is 3x3, orthonormal within ``tol`` and det = +1 within ``tol``."""
+    import numpy as np
     m = np.asarray(mat, dtype=float)
     if m.shape != (3, 3) or not np.all(np.isfinite(m)):
         return False

@@ -46,13 +46,21 @@ class ScaledQuantities:
 
 def scale(model: ScalingModel, length_m: float) -> ScaledQuantities:
     """Evaluate the power laws at size ``length_m``:
-    mass ~ L^3, force ~ L^2, accel = force/mass ~ 1/L."""
+    mass ~ L^3, force ~ L^2, accel = force/mass ~ 1/L. Raises
+    InvalidParameter when a quantity overflows or underflows a float."""
     if not (math.isfinite(length_m) and length_m > 0.0):
         raise InvalidParameter(f"length must be positive and finite, got {length_m!r}")
     ratio = length_m / model.length_ref
-    mass = model.mass_ref * ratio ** 3
-    force = model.force_ref * ratio ** 2
-    return ScaledQuantities(mass_kg=mass, force_n=force, accel_m_s2=force / mass)
+    try:
+        mass = model.mass_ref * ratio ** 3
+        force = model.force_ref * ratio ** 2
+        accel = force / mass
+    except (OverflowError, ZeroDivisionError):
+        mass = force = accel = math.inf
+    if not all(0.0 < q < math.inf for q in (mass, force, accel)):
+        raise InvalidParameter(f"length {length_m!r} m puts mass, force or acceleration "
+                               "outside the float range")
+    return ScaledQuantities(mass_kg=mass, force_n=force, accel_m_s2=accel)
 
 
 def cost_of_transport(motion: Motion, torques_nm: Sequence[float],

@@ -1,11 +1,18 @@
 """Tests for the command-line front end: summaries, files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from homeowheel import executor, planner
 from homeowheel.cli import run
 from homeowheel.executor import (
+    MAX_TRACE_SAMPLES,
+    MAX_WAYPOINTS,
     Trajectory,
     Waypoint,
     read_trajectory_file,
@@ -43,6 +50,25 @@ class TestSimulateCommand:
             run(["simulate", "--n", "0"])
         assert excinfo.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+    def test_trace_over_the_sample_cap_is_a_usage_error(self, capsys, tmp_path, forbid):
+        # 10 one-second segments at 1e9 Hz ask for 1e10 samples; sampling
+        # starts after analyse.
+        assert 10 * 10 ** 9 + 1 > MAX_TRACE_SAMPLES
+        forbid(executor, "analyse")
+        out = tmp_path / "x.csv"
+        code, stdout, stderr = invoke(capsys, "simulate", "--n", "1",
+                                      "--sample-rate-hz", "1e9", "--out", str(out))
+        assert code == 2
+        assert stdout == "" and "MAX_TRACE_SAMPLES" in stderr
+        assert not out.exists()
+
+    def test_n_over_the_waypoint_cap_is_a_usage_error(self, capsys, forbid):
+        forbid(executor, "ServoState")
+        n = (MAX_WAYPOINTS - 5) // 6 + 1
+        code, stdout, stderr = invoke(capsys, "simulate", "--n", str(n))
+        assert code == 2
+        assert stdout == "" and "MAX_WAYPOINTS" in stderr
 
     def test_writes_the_trajectory_too(self, capsys, tmp_path):
         traj_path = tmp_path / "routine.json"
@@ -118,6 +144,15 @@ class TestGaitCommand:
                                  "--cycles", "1", "--out", str(tmp_path / "g.json"))
         assert code == 1
         assert "RateInfeasible" in stdout
+
+    def test_cycles_over_the_waypoint_cap_is_a_usage_error(self, capsys, tmp_path, forbid):
+        forbid(planner, "ServoState")
+        out = tmp_path / "g.json"
+        code, stdout, stderr = invoke(capsys, "gait", "--period-s", "8", "--cycles",
+                                      str((MAX_WAYPOINTS - 1) // 4 + 1), "--out", str(out))
+        assert code == 2
+        assert stdout == "" and "MAX_WAYPOINTS" in stderr
+        assert not out.exists()
 
     def test_zero_cycles_is_a_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -209,6 +244,12 @@ class TestScaleCommand:
         code, stdout, _ = invoke(capsys, "scale", "--lengths-m", "1")
         assert code == 0
         assert "L_m=1.000000000 mass_kg=1.000000000 force_n=1.000000000 accel_m_s2=1.000000000" in stdout
+
+    @pytest.mark.parametrize("lengths", ["1e308,1", "1,1e-200"])
+    def test_length_beyond_the_float_range_is_a_usage_error(self, capsys, lengths):
+        code, stdout, stderr = invoke(capsys, "scale", "--lengths-m", lengths)
+        assert code == 2
+        assert stdout == "" and "float range" in stderr
 
     def test_non_positive_length_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -329,3 +370,34 @@ class TestConfigAndDeterminism:
             assert run(argv + [str(second)]) == 0
             capsys.readouterr()
             assert first.read_bytes() == second.read_bytes()
+
+
+NUMPY_PROBE = """
+import json, sys
+import homeowheel.cli as cli
+loaded = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    cli.run(argv)
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded), file=sys.stderr)
+"""
+
+
+def test_no_command_imports_numpy(tmp_path):
+    plan = str(tmp_path / "plan.json")
+    commands = [
+        ["scale", "--lengths-m", "1,0.1"],
+        ["plan", "--target-deg", "450", "--out", plan],
+        ["gait", "--period-s", "8", "--cycles", "2", "--out", str(tmp_path / "gait.json")],
+        ["simulate", "--n", "1", "--out", str(tmp_path / "trace.csv")],
+        ["check", plan],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "ok=1" in done.stdout and "accel_ratio=" in done.stdout
+    # After the import, then after each command: numpy never loaded.
+    assert json.loads(done.stderr.splitlines()[-1]) == [False] * 6

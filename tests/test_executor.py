@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from homeowheel import executor
 from homeowheel.errors import InvalidParameter, TrajectoryParseError, ValidationFailure
 from homeowheel.executor import (
     EVENT_DISENGAGED_SHAFT_MOTION,
@@ -12,6 +13,8 @@ from homeowheel.executor import (
     EVENT_RANGE_VIOLATION,
     FLAG_DISENGAGED_SHAFT_MOTION,
     FLAG_GIMBAL_LOCK_RISK,
+    MAX_TRACE_SAMPLES,
+    MAX_WAYPOINTS,
     DisengagedShaftMotion,
     Policy,
     RateViolation,
@@ -81,6 +84,18 @@ class TestBuildRotateWheel2n:
     def test_rejects_bad_duration(self):
         with pytest.raises(InvalidParameter):
             build_rotate_wheel_2n(1, segment_duration=0.0)
+
+    def test_waypoint_cap_is_checked_in_closed_form(self, monkeypatch):
+        # 6n + 5 waypoints: with the cap at 23, n = 3 is the largest routine.
+        monkeypatch.setattr(executor, "MAX_WAYPOINTS", 23)
+        assert len(build_rotate_wheel_2n(3).waypoints) == 23
+        with pytest.raises(InvalidParameter, match="MAX_WAYPOINTS"):
+            build_rotate_wheel_2n(4)
+
+    def test_rejects_n_over_the_waypoint_cap(self, forbid):
+        forbid(executor, "ServoState")
+        with pytest.raises(InvalidParameter, match="MAX_WAYPOINTS"):
+            build_rotate_wheel_2n((MAX_WAYPOINTS - 5) // 6 + 1)
 
 
 class TestSegmentDrive:
@@ -225,6 +240,43 @@ class TestSimulate:
         with pytest.raises(ValidationFailure):
             simulate(Trajectory(waypoints=()))
 
+    @staticmethod
+    def closed_form_samples(trajectory, rate):
+        total = 1
+        for _, a, b in trajectory.segments():
+            dt, d_s1 = b.t - a.t, b.state.s1 - a.state.s1
+            total += max(math.ceil(dt * rate), math.ceil(abs(d_s1) / 90.0), 1) if dt > 0 else 1
+        return total
+
+    @pytest.mark.parametrize("rate", [0.001, 0.7, 1.0, 37.0, 50.0])
+    def test_sample_count_is_the_closed_form(self, rate):
+        trajectory = make_trajectory([(0, 0, -90), (0, 90, -90), (360, 90, -90), (360, 90, -90),
+                                      (100, 90, -90)], duration=0.25)
+        trajectory = Trajectory(waypoints=trajectory.waypoints + (
+            Waypoint(0.75, S(100.0, 90.0, -90.0)),))  # a time-order violation
+        trace = simulate(trajectory, rate, check=False)
+        assert len(trace.samples) == self.closed_form_samples(trajectory, rate)
+
+    def test_sample_cap_is_checked_before_sampling(self, monkeypatch):
+        trajectory = build_rotate_wheel_2n(2)
+        size = self.closed_form_samples(trajectory, 7.0)
+        monkeypatch.setattr(executor, "MAX_TRACE_SAMPLES", size)
+        assert len(simulate(trajectory, 7.0).samples) == size
+        monkeypatch.setattr(executor, "MAX_TRACE_SAMPLES", size - 1)
+        with pytest.raises(InvalidParameter, match="MAX_TRACE_SAMPLES"):
+            simulate(trajectory, 7.0)
+
+    @pytest.mark.parametrize("rate", [1e9, 1e308])
+    def test_rejects_traces_over_the_sample_cap(self, rate, forbid):
+        # 10 one-second segments: 1e10 samples at 1e9 Hz; 1e308 Hz overflows
+        # the per-segment product and still reads as too many. Sampling
+        # starts after analyse.
+        trajectory = build_rotate_wheel_2n(1)
+        assert self.closed_form_samples(trajectory, 1e9) > MAX_TRACE_SAMPLES
+        forbid(executor, "analyse")
+        with pytest.raises(InvalidParameter, match="MAX_TRACE_SAMPLES"):
+            simulate(trajectory, rate)
+
     def test_single_waypoint_trajectory(self):
         trajectory = Trajectory(waypoints=(Waypoint(0.0, S(0.0, 0.0, 0.0)),))
         trace = simulate(trajectory)
@@ -319,6 +371,14 @@ class TestTrajectoryFiles:
         with pytest.raises(TrajectoryParseError) as excinfo:
             parse_trajectory(text)
         assert "format_version" in str(excinfo.value)
+
+    @pytest.mark.parametrize("version", ["true", "false", "1.0", '"1"'])
+    def test_format_version_must_be_an_integer(self, version):
+        text = trajectory_to_json(build_rotate_wheel_2n(1)).replace(
+            '"format_version": 1', f'"format_version": {version}')
+        with pytest.raises(TrajectoryParseError) as excinfo:
+            parse_trajectory(text)
+        assert excinfo.value.location == "$.format_version"
 
     def test_missing_field_names_its_location(self):
         import json

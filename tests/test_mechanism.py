@@ -170,6 +170,25 @@ class TestForwardKinematics:
         assert forward_kinematics(DEFAULT_GEOMETRY, state) == \
             forward_kinematics(DEFAULT_GEOMETRY, state)
 
+    def test_translations_match_the_matrix_chain(self):
+        # Each link is a vector fixed in its parent frame: p = p_parent + R v.
+        geometry = MechanismGeometry(0.1, 0.3, 0.7, 1.1)
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            state = ServoState(float(rng.uniform(0.0, 360.0)),
+                               float(rng.uniform(-90.0, 90.0)),
+                               float(rng.uniform(-90.0, 90.0)))
+            poses = forward_kinematics(geometry, state)
+            gantry = np.array([0.0, 0.0, geometry.gantry_offset])
+            tip = gantry + quat_to_matrix(poses.gantry.rotation) @ np.array(
+                [0.0, 0.0, geometry.upper_link_length])
+            wrist = tip + quat_to_matrix(poses.center_shaft_tip.rotation) @ np.array(
+                [geometry.lower_link_length, 0.0, 0.0])
+            assert poses.gantry.translation == tuple(gantry)
+            assert np.abs(np.array(poses.center_shaft_tip.translation) - tip).max() < 1e-12
+            assert np.abs(np.array(poses.wheel_hub.translation) - wrist).max() < 1e-12
+            assert all(type(c) is float for c in poses.wheel_hub.translation)
+
     def test_rotations_stay_orthonormal_over_random_states(self):
         rng = np.random.default_rng(22)
         worst = 0.0

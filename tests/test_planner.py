@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from homeowheel import planner
 from homeowheel.errors import InvalidParameter, RateInfeasible, ValidationFailure
 from homeowheel.executor import simulate, validate_trajectory
 from homeowheel.mechanism import MechanismGeometry, ServoLimits, ServoState
@@ -12,6 +13,7 @@ from homeowheel.planner import (
     BACKWARD_CONFIG,
     FORWARD_CONFIG,
     MAX_PLAN_SWEEPS,
+    MAX_WAYPOINTS,
     count_engaged_sweeps,
     generate_gait,
     plan_distance,
@@ -208,3 +210,15 @@ class TestGenerateGait:
             generate_gait(float("nan"), 1)
         with pytest.raises(InvalidParameter):
             generate_gait(8.0, True)
+
+    def test_waypoint_cap_is_checked_in_closed_form(self, monkeypatch):
+        # 4 cycles + 1 waypoints: with the cap at 9, two cycles is the longest gait.
+        monkeypatch.setattr(planner, "MAX_WAYPOINTS", 9)
+        assert len(generate_gait(8.0, 2).waypoints) == 9
+        with pytest.raises(InvalidParameter, match="MAX_WAYPOINTS"):
+            generate_gait(8.0, 3)
+
+    def test_rejects_cycles_over_the_waypoint_cap(self, forbid):
+        forbid(planner, "ServoState")
+        with pytest.raises(InvalidParameter, match="MAX_WAYPOINTS"):
+            generate_gait(8.0, (MAX_WAYPOINTS - 1) // 4 + 1)

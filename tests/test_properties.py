@@ -1,11 +1,17 @@
 """Property tests: results are properties of the piecewise-linear path, so
 they hold for any waypoints, limits, tolerances and sample rate."""
 
+import contextlib
+import io
+import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homeowheel.cli import run
+from homeowheel.errors import TrajectoryParseError
 from homeowheel.executor import (
     FLAG_GIMBAL_LOCK_RISK,
     Policy,
@@ -13,6 +19,7 @@ from homeowheel.executor import (
     Waypoint,
     WaypointRangeViolation,
     analyse,
+    build_rotate_wheel_2n,
     parse_config,
     parse_trajectory,
     segment_drive,
@@ -21,7 +28,7 @@ from homeowheel.executor import (
     validate_trajectory,
 )
 from homeowheel.mechanism import MechanismGeometry, ServoLimits, ServoState
-from homeowheel.planner import count_engaged_sweeps, plan_rotation
+from homeowheel.planner import count_engaged_sweeps, generate_gait, plan_rotation
 from homeowheel.tegument import check_integrity, ledger_from_state
 
 # Angles on a 1/8 deg grid: differences of grid values are exact, so an
@@ -146,3 +153,138 @@ def test_plan_sweep_count_is_bounded_by_the_s1_span(span_eighths, start_eighths,
     expected = 0 if target == 0 else 1 + math.ceil(max(abs(target) - first, 0.0) / span)
     assert count_engaged_sweeps(trajectory) == expected <= math.ceil(abs(target) / span) + 1
     assert analyse(trajectory).final_theta_deg == target
+
+
+# --------------------------------------------------------------------------
+# Fuzzing: no input file, config or command line ends in a traceback.
+
+VALID_FILES = [trajectory_to_json(t) for t in (
+    build_rotate_wheel_2n(1), generate_gait(8.0, 2), plan_rotation(-450.0),
+    Trajectory(waypoints=(Waypoint(0.0, ServoState(0.0, 0.0, 0.0)),)))]
+MAX_FUZZ_WAYPOINTS = 50
+
+# Numbers near the edges the parser and the clutch care about.
+edge_numbers = st.sampled_from([0, 1, -1, 90, -90.0, 360.0, 1e-300, 5e-324, 1e308, -1e308,
+                                10 ** 308 * 2, 2 ** 63, True, False])
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | edge_numbers,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid trajectory document with a few values replaced, deleted or
+    duplicated at random depths, as JSON text."""
+    doc = json.loads(draw(st.sampled_from(VALID_FILES)))
+    for _ in range(draw(st.integers(1, 4))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+            if action == "replace":
+                node[key] = draw(json_values)
+            elif action == "delete":
+                del node[key]
+            elif isinstance(node, list) and len(node) < MAX_FUZZ_WAYPOINTS:
+                node.insert(key, json.loads(json.dumps(child)))
+            break
+    return json.dumps(doc, indent=draw(st.sampled_from([None, 2])))
+
+
+@st.composite
+def corrupted_bytes(draw):
+    """Raw bytes, or a valid file with bytes spliced in or cut off."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=300))
+    data = draw(st.sampled_from(VALID_FILES)).encode()
+    start = draw(st.integers(0, len(data)))
+    end = draw(st.integers(start, min(len(data), start + 40)))
+    return data[:start] + draw(st.binary(max_size=8)) + data[end:]
+
+
+def parsed_or_rejected(parse, data) -> bool:
+    """True if ``parse`` accepts ``data``; False if it raises the documented
+    TrajectoryParseError. Any other exception fails the property."""
+    try:
+        parse(data)
+    except TrajectoryParseError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mutated_documents().map(str.encode), corrupted_bytes()))
+def test_fuzzed_files_parse_or_raise_the_parse_error(data):
+    parsed_or_rejected(parse_trajectory, data)
+    parsed_or_rejected(parse_config, data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mutated_documents().map(str.encode), corrupted_bytes()))
+def test_check_on_fuzzed_files_exits_with_a_documented_code(fuzz_dir, data):
+    path = fuzz_dir / "fuzzed.json"
+    path.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(["check", str(path)])
+    assert code in ((0, 1) if parsed_or_rejected(parse_trajectory, data) else (3,))
+
+
+# Option values that keep every command small even where a work cap were
+# missing; the caps have tests of their own that stop before any work.
+ARGV_VALUES = {
+    "--n": ["1", "2", "0", "-3", "x", "1e9"],
+    "--sample-rate-hz": ["0.5", "50", "nan", "inf", "0", "-1"],
+    "--target-deg": ["450", "-1e4", "1e19", "nan", "0", "x"],
+    "--distance-m": ["1", "-2", "1e300", "inf"],
+    "--period-s": ["8", "2.9", "0", "inf", "1e300", "1e-300"],
+    "--cycles": ["1", "3", "0", "-1"],
+    "--lengths-m": ["1,0.1", "0", "1,,2", "x", "1e308,1e-308"],
+    "--ref-length-m": ["1", "0", "1e-308"],
+    "--radius-m": ["0.5", "0", "-1", "inf", "1e-308"],
+    "--policy": ["strict", "lenient", "bogus"],
+    "--config": ["{good}", "{bad}", "{missing}", "{traj}"],
+    "--out": ["{out}"],
+    "--out-traj": ["{out}"],
+}
+
+
+@st.composite
+def command_lines(draw):
+    argv = [draw(st.sampled_from(["simulate", "plan", "gait", "check", "scale", "bogus"]))]
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["{traj}", "{bad}", "{missing}"])))
+    for _ in range(draw(st.integers(0, 6))):
+        option = draw(st.sampled_from(sorted(ARGV_VALUES)))
+        argv += [option, draw(st.sampled_from(ARGV_VALUES[option]))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_fuzzed_command_lines_exit_with_a_documented_code(fuzz_dir, argv):
+    paths = {"good": fuzz_dir / "good.json", "bad": fuzz_dir / "bad.json",
+             "traj": fuzz_dir / "traj.json", "missing": fuzz_dir / "missing.json",
+             "out": fuzz_dir / "out"}
+    paths["good"].write_text('{"wheel_radius_m": 0.2, "max_rates_deg_per_s": {"s1": 90}}')
+    paths["bad"].write_text('{"servo_ranges_deg": [1, 2]')
+    paths["traj"].write_text(VALID_FILES[0])
+    argv = [a.format(**paths) for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2, 3)

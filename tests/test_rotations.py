@@ -1,5 +1,7 @@
 """Tests for the quaternion algebra and continuous angle lifting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,30 @@ class TestAxisAngle:
             quat_from_axis_angle((0.0, 0.0, 0.0), 90.0)
         with pytest.raises(InvalidAxis):
             quat_from_axis_angle((1.0, 0.0), 90.0)
+
+    @pytest.mark.parametrize("axis", [
+        1.0,
+        [[1.0], [0.0], [0.0]],
+        np.array([[1.0], [0.0], [0.0]]),
+        ("a", "b", "c"),
+        ("1", "0", "0"),
+        (1.0, 0.0, None),
+        (1j, 0.0, 0.0),
+        "xyz",
+        (1.0, 0.0, 0.0, 0.0),
+        (10 ** 400, 0, 0),
+        (math.nan, 0.0, 0.0),
+    ])
+    def test_rejects_anything_but_three_real_numbers(self, axis):
+        with pytest.raises(InvalidAxis):
+            quat_from_axis_angle(axis, 90.0)
+
+    @pytest.mark.parametrize("axis", [
+        (0.0, 0.0, 1.0), [0, 0, 1], np.array([0.0, 0.0, 1.0]), np.array([0, 0, 1]),
+        (np.float32(0.0), np.int64(0), True),
+    ])
+    def test_accepts_any_sequence_of_three_real_numbers(self, axis):
+        assert quat_from_axis_angle(axis, 90.0) == quat_from_axis_angle(Z_AXIS, 90.0)
 
     def test_double_cover_over_random_axes(self):
         rng = np.random.default_rng(20240811)

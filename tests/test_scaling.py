@@ -41,6 +41,16 @@ class TestScale:
             with pytest.raises(InvalidParameter):
                 scale(model, bad)
 
+    @pytest.mark.parametrize("model, length", [
+        (ScalingModel(), 1e308),                                 # L^3 overflows
+        (ScalingModel(), 1e-200),                                # L^3 underflows to 0
+        (ScalingModel(mass_ref=1e300), 1e10),                    # m_ref * L^3 overflows
+        (ScalingModel(mass_ref=1e300, force_ref=1e-300), 1.0),   # accel underflows to 0
+    ])
+    def test_rejects_lengths_beyond_the_float_range(self, model, length):
+        with pytest.raises(InvalidParameter, match="float range"):
+            scale(model, length)
+
     def test_rejects_bad_model(self):
         with pytest.raises(InvalidParameter):
             ScalingModel(length_ref=0.0)

@@ -30,7 +30,6 @@ from .executor import (
     build_rotate_wheel_2n,
     parse_config,
     read_trajectory_file,
-    simulate,
     validate_trajectory,
     write_trace_file,
     write_trajectory_file,
@@ -128,8 +127,7 @@ def cmd_simulate(args) -> int:
     violations = _validate(trajectory, args.policy)
     motion = analyse(trajectory, check=False)
     if args.out:
-        write_trace_file(simulate(trajectory, sample_rate=args.sample_rate_hz, check=False),
-                         args.out)
+        write_trace_file(motion, args.out, args.sample_rate_hz)
     if args.out_traj:
         write_trajectory_file(trajectory, args.out_traj)
     _print_motion_summary(motion)

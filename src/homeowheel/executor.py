@@ -10,7 +10,9 @@ linear path reaches its extremes. This keeps the canonical even-turn routine
 exact (720 deg per loop iteration) and makes every result independent of any
 sample rate. While disengaged the wheel is held, not freewheeling: the
 reconfiguration steps must not move it or the whole bookkeeping collapses.
-Dense samples exist only for the trace export (:func:`simulate`).
+Dense samples exist only for the trace export: one sampling loop yields
+plain rows, which :func:`write_trace_file` streams to disk in chunks and
+:func:`simulate` wraps into :class:`TraceSample` objects.
 
 File formats (versioned, deterministic byte output):
 
@@ -31,6 +33,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -77,8 +80,10 @@ MAX_PLAN_SWEEPS = 100_000
 #: :func:`homeowheel.planner.generate_gait` (4 cycles + 1) build: about the
 #: size of the largest plan.
 MAX_WAYPOINTS = 300_000
-#: Most samples :func:`simulate` makes for the trace export (13x the 150,201
-#: of ``simulate --n 500`` at 50 Hz).
+#: Most rows of the trace export (13x the 150,201 of ``simulate --n 500`` at
+#: 50 Hz). :func:`write_trace_file` streams them in O(segments) memory, about
+#: 41 bytes of file per row (about 83 MB at the cap); :func:`simulate` holds
+#: them all.
 MAX_TRACE_SAMPLES = 2_000_000
 
 
@@ -172,7 +177,9 @@ class Motion:
     ``theta_deg[k]`` is the wheel angle at waypoint k (0 at the first);
     ``drives[i]`` and ``flags[i]`` are segment i's wheel coupling (see
     :func:`segment_drive`) and event flags. ``integrity`` certifies the
-    twist of every tegument segment over the whole path.
+    twist of every tegument segment over the whole path. ``engage_tol`` is
+    the clutch tolerance the drives were computed with, which the trace
+    export also uses for the ``engaged`` column.
     """
 
     trajectory: Trajectory
@@ -181,6 +188,7 @@ class Motion:
     flags: tuple[int, ...]
     events: tuple[TraceEvent, ...]
     integrity: IntegrityReport
+    engage_tol: float = ENGAGE_TOL
 
     @property
     def final_theta_deg(self) -> float:
@@ -430,7 +438,7 @@ def analyse(trajectory: Trajectory, *, check: bool = True,
     integrity = check_integrity([ledger_from_state(wp.state) for wp in waypoints],
                                 trajectory.limits, [wp.t for wp in waypoints])
     return Motion(trajectory, tuple(theta), tuple(drives), tuple(flags), tuple(events),
-                  integrity)
+                  integrity, engage_tol)
 
 
 def _subdivisions(seg_dt: float, d_s1: float, sample_rate: float) -> int:
@@ -442,6 +450,47 @@ def _subdivisions(seg_dt: float, d_s1: float, sample_rate: float) -> int:
         return 1
     count = max(seg_dt * sample_rate, abs(d_s1) / _MAX_SHAFT_STEP, 1.0)
     return math.ceil(min(count, MAX_TRACE_SAMPLES + 1.0))
+
+
+def _sample_counts(trajectory: Trajectory, sample_rate: float) -> list[int]:
+    """Per-segment :func:`_subdivisions` of the trace at ``sample_rate``,
+    computed before any sampling or file access; a bad rate or more than
+    :data:`MAX_TRACE_SAMPLES` rows raise InvalidParameter."""
+    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
+        raise InvalidParameter(f"sample_rate must be positive, got {sample_rate!r}")
+    counts = [_subdivisions(b.t - a.t, b.state.s1 - a.state.s1, sample_rate)
+              for _, a, b in trajectory.segments()]
+    if sum(counts) + 1 > MAX_TRACE_SAMPLES:
+        raise InvalidParameter(f"sample rate {sample_rate!r} Hz gives more than "
+                               f"MAX_TRACE_SAMPLES ({MAX_TRACE_SAMPLES}) trace samples")
+    return counts
+
+
+def _trace_rows(motion: Motion, counts: list[int]) -> Iterator[tuple]:
+    """The trace rows ``(t, s1, s2, s3, theta_wheel_deg, x_m, engaged,
+    event_flags)``, ``counts[i]`` of them on segment i, then the last
+    waypoint's. The one sampling loop behind :func:`simulate` and
+    :func:`write_trace_file`."""
+    trajectory, engage_tol = motion.trajectory, motion.engage_tol
+    radius = trajectory.geometry.wheel_radius
+    for (i, a, b), subdivisions in zip(trajectory.segments(), counts):
+        t0, a1, a2, a3 = a.t, a.state.s1, a.state.s2, a.state.s3
+        seg_dt = b.t - t0
+        d_s1, d_s2, d_s3 = b.state.s1 - a1, b.state.s2 - a2, b.state.s3 - a3
+        drive, flags, theta = motion.drives[i], motion.flags[i], motion.theta_deg[i]
+        driving = drive != 0
+        yield (t0, a1, a2, a3, theta, radius * math.radians(theta),
+               engaged(a.state, engage_tol), flags)
+        for j in range(1, subdivisions):
+            alpha = j / subdivisions
+            s1 = a1 + d_s1 * alpha
+            theta_now = theta + drive * (s1 - a1) if drive else theta
+            yield (t0 + seg_dt * alpha, s1, a2 + d_s2 * alpha, a3 + d_s3 * alpha,
+                   theta_now, radius * math.radians(theta_now), driving, flags)
+    last = trajectory.waypoints[-1]
+    yield (last.t, last.state.s1, last.state.s2, last.state.s3, motion.final_theta_deg,
+           motion.final_x_m, engaged(last.state, engage_tol),
+           motion.flags[-1] if motion.flags else 0)
 
 
 def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
@@ -457,40 +506,15 @@ def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
     the wheel. The keywords are those of :func:`analyse`.
 
     The sample count is computed first; more than :data:`MAX_TRACE_SAMPLES`
-    raise InvalidParameter.
+    raise InvalidParameter. :func:`write_trace_file` streams the same rows
+    to a file without building them here.
     """
-    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
-        raise InvalidParameter(f"sample_rate must be positive, got {sample_rate!r}")
-    counts = [_subdivisions(b.t - a.t, b.state.s1 - a.state.s1, sample_rate)
-              for _, a, b in trajectory.segments()]
-    if sum(counts) + 1 > MAX_TRACE_SAMPLES:
-        raise InvalidParameter(f"sample rate {sample_rate!r} Hz gives more than "
-                               f"MAX_TRACE_SAMPLES ({MAX_TRACE_SAMPLES}) trace samples")
+    counts = _sample_counts(trajectory, sample_rate)
     motion = analyse(trajectory, check=check, engage_tol=engage_tol, gimbal_tol=gimbal_tol)
-    radius = trajectory.geometry.wheel_radius
-    samples: list[TraceSample] = []
-    for (i, a, b), subdivisions in zip(trajectory.segments(), counts):
-        seg_dt = b.t - a.t
-        d_s1 = b.state.s1 - a.state.s1
-        drive, flags, theta = motion.drives[i], motion.flags[i], motion.theta_deg[i]
-        samples.append(TraceSample(a.t, a.state, theta, radius * math.radians(theta),
-                                   engaged(a.state, engage_tol), flags))
-        for j in range(1, subdivisions):
-            alpha = j / subdivisions
-            state = ServoState(
-                a.state.s1 + d_s1 * alpha,
-                a.state.s2 + (b.state.s2 - a.state.s2) * alpha,
-                a.state.s3 + (b.state.s3 - a.state.s3) * alpha,
-            )
-            theta_now = theta + drive * (state.s1 - a.state.s1) if drive else theta
-            samples.append(TraceSample(a.t + seg_dt * alpha, state, theta_now,
-                                       radius * math.radians(theta_now), drive != 0, flags))
-
-    last = trajectory.waypoints[-1]
-    samples.append(TraceSample(last.t, last.state, motion.final_theta_deg, motion.final_x_m,
-                               engaged(last.state, engage_tol),
-                               motion.flags[-1] if motion.flags else 0))
-    return SimTrace(tuple(samples), motion.events)
+    samples = tuple(TraceSample(t, ServoState(s1, s2, s3), theta, x, is_engaged, flags)
+                    for t, s1, s2, s3, theta, x, is_engaged, flags
+                    in _trace_rows(motion, counts))
+    return SimTrace(samples, motion.events)
 
 
 # --------------------------------------------------------------------------
@@ -639,16 +663,27 @@ def read_trajectory_file(path) -> Trajectory:
 # Trace export
 
 TRACE_HEADER = "t,s1,s2,s3,theta_wheel_deg,x_m,engaged,event_flags"
+_TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%d\n"
+# Rows per write() in write_trace_file: its memory is one chunk, its calls few.
+_CHUNK_ROWS = 4096
 
 
 def trace_to_csv(trace: SimTrace) -> str:
     """Delimited trace text: mandatory header, 9 significant digits."""
-    lines = [TRACE_HEADER]
-    for s in trace.samples:
-        lines.append(f"{s.t:.9g},{s.state.s1:.9g},{s.state.s2:.9g},{s.state.s3:.9g},"
-                     f"{s.theta_wheel_deg:.9g},{s.x_m:.9g},{int(s.engaged)},{s.event_flags}")
-    return "\n".join(lines) + "\n"
+    return TRACE_HEADER + "\n" + "".join(
+        _TRACE_ROW % (s.t, s.state.s1, s.state.s2, s.state.s3, s.theta_wheel_deg, s.x_m,
+                      s.engaged, s.event_flags) for s in trace.samples)
 
 
-def write_trace_file(trace: SimTrace, path) -> None:
-    Path(path).write_text(trace_to_csv(trace), encoding="utf-8")
+def write_trace_file(motion: Motion, path, sample_rate: float = 50.0) -> None:
+    """Write the trace of ``motion`` at ``sample_rate``, the bytes of
+    ``trace_to_csv(simulate(...))``, streaming rows to the file in chunks:
+    memory stays O(segments) at any sample count. The sample count is
+    checked before the file is opened, so a rejected trace leaves ``path``
+    untouched."""
+    counts = _sample_counts(motion.trajectory, sample_rate)
+    rows = _trace_rows(motion, counts)
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write(TRACE_HEADER + "\n")
+        while chunk := "".join(map(_TRACE_ROW.__mod__, islice(rows, _CHUNK_ROWS))):
+            out.write(chunk)

@@ -284,3 +284,34 @@ def test_criterion_9_golden_bytes(tmp_path, capsys):
         if got[1] != GOLDEN_SHA256[filename][1]:
             failures.append(f"{filename}: artefact differs from the recorded bytes")
     _report("criterion 9 (golden bytes)", failures)
+
+
+# Trace exports at odd sample rates, each completed by the path of the CSV it
+# writes, with the sha256 of (stdout, CSV) recorded before the export was
+# streamed to the file.
+EXPORT_GOLDEN_SHA256 = {
+    ("simulate", "--n", "2", "--sample-rate-hz", "0.01", "--out"): (
+        "ffd5b0747d64e17e86b86bf0709238aa5d29336f3087567a47d06c0bac11f003",
+        "d66482b1a8fe36c6e1695dcdf8911bca95f79687cc8f3f3abef87b63ca949b84"),
+    ("simulate", "--n", "200", "--sample-rate-hz", "37", "--radius-m", "0.37", "--out"): (
+        "b5d9aca6dfa96261ebf6fb84a32b4f81705922497d8eeb8236cdbec74535d3c3",
+        "e5c54f967c7a664d29d0c998a7e13f8fa5efc6f712735ca99483c62f6210d4a5"),
+}
+
+
+def test_trace_export_golden_bytes(tmp_path, capsys):
+    """Trace exports print and write exactly the recorded bytes."""
+    failures = []
+    for argv, golden in EXPORT_GOLDEN_SHA256.items():
+        path = tmp_path / "trace.csv"
+        capsys.readouterr()
+        if cli_run(list(argv) + [str(path)]) != 0:
+            failures.append(f"{' '.join(argv)} did not exit cleanly")
+            continue
+        stdout = capsys.readouterr().out.encode("utf-8")
+        got = (hashlib.sha256(stdout).hexdigest(), hashlib.sha256(path.read_bytes()).hexdigest())
+        if got[0] != golden[0]:
+            failures.append(f"{' '.join(argv)}: stdout differs from the recorded bytes")
+        if got[1] != golden[1]:
+            failures.append(f"{' '.join(argv)}: CSV differs from the recorded bytes")
+    _report("trace export (golden bytes)", failures)

@@ -52,16 +52,28 @@ class TestSimulateCommand:
         assert "usage" in capsys.readouterr().err
 
     def test_trace_over_the_sample_cap_is_a_usage_error(self, capsys, tmp_path, forbid):
-        # 10 one-second segments at 1e9 Hz ask for 1e10 samples; sampling
-        # starts after analyse.
+        # 10 one-second segments at 1e9 Hz ask for 1e10 samples; the count
+        # is checked before any row is made.
         assert 10 * 10 ** 9 + 1 > MAX_TRACE_SAMPLES
         forbid(executor, "analyse")
+        forbid(executor, "_trace_rows")
         out = tmp_path / "x.csv"
         code, stdout, stderr = invoke(capsys, "simulate", "--n", "1",
                                       "--sample-rate-hz", "1e9", "--out", str(out))
         assert code == 2
         assert stdout == "" and "MAX_TRACE_SAMPLES" in stderr
         assert not out.exists()
+
+    def test_rejected_trace_leaves_an_existing_file_unchanged(self, capsys, tmp_path):
+        # The count is checked before the file is opened, so a rejected
+        # trace never truncates what is already there.
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"previous,contents\n1,2\n")
+        code, stdout, stderr = invoke(capsys, "simulate", "--n", "1",
+                                      "--sample-rate-hz", "1e9", "--out", str(out))
+        assert code == 2
+        assert stdout == "" and "MAX_TRACE_SAMPLES" in stderr
+        assert out.read_bytes() == b"previous,contents\n1,2\n"
 
     def test_n_over_the_waypoint_cap_is_a_usage_error(self, capsys, forbid):
         forbid(executor, "ServoState")

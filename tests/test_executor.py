@@ -1,6 +1,7 @@
 """Tests for trajectory construction, simulation, validation, and files."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from homeowheel.executor import (
     Trajectory,
     Waypoint,
     WaypointRangeViolation,
+    analyse,
     build_rotate_wheel_2n,
     parse_config,
     parse_trajectory,
@@ -31,11 +33,13 @@ from homeowheel.executor import (
     trace_to_csv,
     trajectory_to_json,
     validate_trajectory,
+    write_trace_file,
     write_trajectory_file,
 )
 from homeowheel.mechanism import (
     DEFAULT_GEOMETRY,
     DEFAULT_LIMITS,
+    ENGAGE_TOL,
     GIMBAL_TOL,
     MechanismGeometry,
     ServoLimits,
@@ -520,3 +524,43 @@ class TestTraceExport:
         trace = simulate(build_rotate_wheel_2n(1))
         for line in trace_to_csv(trace).splitlines()[1:]:
             assert line.split(",")[6] in ("0", "1")
+
+    def test_written_file_is_the_simulated_trace(self, tmp_path):
+        # 124 one-second segments at 37 Hz: 4,589 rows, more than one chunk.
+        trajectory = build_rotate_wheel_2n(20, geometry=MechanismGeometry(wheel_radius=0.37))
+        path = tmp_path / "trace.csv"
+        write_trace_file(analyse(trajectory), path, 37.0)
+        assert path.read_bytes() == trace_to_csv(simulate(trajectory, 37.0)).encode("utf-8")
+
+    def test_engaged_column_uses_the_motion_tolerance(self, tmp_path):
+        # 0.5 deg off the clutch pose: engaged at tolerance 1, not at the default.
+        trajectory = make_trajectory([(0, 89.5, -90), (10, 89.5, -90)])
+        path = tmp_path / "trace.csv"
+        for tol, column in ((ENGAGE_TOL, "0"), (1.0, "1")):
+            write_trace_file(analyse(trajectory, engage_tol=tol), path, 2.0)
+            rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+            assert {row[6] for row in rows} == {column}
+
+    def test_rejected_rate_leaves_the_file_alone(self, tmp_path, forbid):
+        path = tmp_path / "trace.csv"
+        path.write_text("kept\n")
+        motion = analyse(build_rotate_wheel_2n(1))
+        forbid(executor, "_trace_rows")
+        for rate in (0.0, -1.0, math.inf, math.nan, 1e9):
+            with pytest.raises(InvalidParameter):
+                write_trace_file(motion, path, rate)
+        assert path.read_text() == "kept\n"
+
+    def test_writing_streams_in_bounded_memory(self, tmp_path):
+        # 30,201 rows: building them all, or the whole CSV text, took
+        # about 13 MB; streaming keeps one chunk of rows alive.
+        motion = analyse(build_rotate_wheel_2n(100))
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            write_trace_file(motion, path, 50.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes().count(b"\n") == 30_201 + 1
+        assert peak < 2 * 1024 * 1024

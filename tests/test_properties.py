@@ -5,6 +5,8 @@ import contextlib
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,10 +26,12 @@ from homeowheel.executor import (
     parse_trajectory,
     segment_drive,
     simulate,
+    trace_to_csv,
     trajectory_to_json,
     validate_trajectory,
+    write_trace_file,
 )
-from homeowheel.mechanism import MechanismGeometry, ServoLimits, ServoState
+from homeowheel.mechanism import ENGAGE_TOL, MechanismGeometry, ServoLimits, ServoState
 from homeowheel.planner import count_engaged_sweeps, generate_gait, plan_rotation
 from homeowheel.tegument import check_integrity, ledger_from_state
 
@@ -141,6 +145,33 @@ def test_trajectory_files_round_trip(trajectory, geometry):
     text = trajectory_to_json(trajectory)
     assert parse_trajectory(text) == trajectory
     assert parse_config(text) == (trajectory.geometry, trajectory.limits)
+
+
+@st.composite
+def unchecked_trajectories(draw):
+    """:func:`trajectories` with some angles replaced by -0.0 and some times
+    stepping back, under any geometry: inputs only ``check=False`` accepts."""
+    trajectory = draw(trajectories())
+    waypoints = []
+    for wp in trajectory.waypoints:
+        s1, s2, s3 = (-0.0 if draw(st.integers(0, 4)) == 0 else v
+                      for v in (wp.state.s1, wp.state.s2, wp.state.s3))
+        t = wp.t - draw(st.sampled_from([0.0, 0.0, 0.0, 0.5, 3.0]))
+        waypoints.append(Waypoint(t, ServoState(s1, s2, s3)))
+    return Trajectory(draw(geometries()), trajectory.limits, tuple(waypoints))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unchecked_trajectories(),
+       st.one_of(sample_rates, st.floats(min_value=0.01, max_value=200.0)),
+       st.one_of(st.just(ENGAGE_TOL), tolerances))
+def test_streamed_trace_file_is_the_simulated_trace(trajectory, rate, engage_tol):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_file(analyse(trajectory, check=False, engage_tol=engage_tol), path, rate)
+        written = path.read_bytes()
+    trace = simulate(trajectory, rate, check=False, engage_tol=engage_tol)
+    assert written == trace_to_csv(trace).encode("utf-8")
 
 
 @settings(max_examples=200, deadline=None)

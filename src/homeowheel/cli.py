@@ -24,13 +24,11 @@ from .errors import (
     ValidationFailure,
 )
 from .executor import (
-    DisengagedShaftMotion,
     Policy,
     analyse,
     build_rotate_wheel_2n,
     parse_config,
     read_trajectory_file,
-    validate_trajectory,
     write_trace_file,
     write_trajectory_file,
 )
@@ -94,16 +92,6 @@ def _resolve_setup(args) -> tuple[MechanismGeometry, ServoLimits]:
         raise InvalidParameter(f"invalid config {args.config!r}: {exc}") from exc
 
 
-def _validate(trajectory, policy) -> list:
-    """Validate once under ``policy``. What even the lenient policy rejects
-    is fatal; the rest is returned for the summary."""
-    violations = validate_trajectory(trajectory, policy=policy)
-    fatal = [v for v in violations if not isinstance(v, DisengagedShaftMotion)]
-    if fatal:
-        raise ValidationFailure(fatal)
-    return violations
-
-
 def _print_motion_summary(motion) -> None:
     report = motion.integrity
     print(f"theta_wheel_deg={_fmt(motion.final_theta_deg)}")
@@ -124,15 +112,14 @@ def _report_violations(violations) -> None:
 def cmd_simulate(args) -> int:
     geometry, limits = _resolve_setup(args)
     trajectory = build_rotate_wheel_2n(args.n, geometry=geometry, limits=limits)
-    violations = _validate(trajectory, args.policy)
-    motion = analyse(trajectory, check=False)
+    motion = analyse(trajectory, args.policy)
     if args.out:
         write_trace_file(motion, args.out, args.sample_rate_hz)
     if args.out_traj:
         write_trajectory_file(trajectory, args.out_traj)
     _print_motion_summary(motion)
-    _report_violations(violations)
-    return EXIT_OK if not violations else EXIT_VIOLATION
+    _report_violations(motion.violations)
+    return EXIT_OK if not motion.violations else EXIT_VIOLATION
 
 
 def cmd_plan(args) -> int:
@@ -141,38 +128,35 @@ def cmd_plan(args) -> int:
         trajectory = plan_rotation(args.target_deg, limits=limits, geometry=geometry)
     else:
         trajectory = plan_distance(args.distance_m, geometry=geometry, limits=limits)
-    violations = _validate(trajectory, args.policy)
-    motion = analyse(trajectory, check=False)
+    motion = analyse(trajectory, args.policy)
     write_trajectory_file(trajectory, args.out)
     print(f"waypoints={len(trajectory.waypoints)}")
     print(f"segments={max(len(trajectory.waypoints) - 1, 0)}")
     print(f"engaged_sweeps={count_engaged_sweeps(trajectory)}")
     print(f"predicted_theta_wheel_deg={_fmt(motion.final_theta_deg)}")
     print(f"predicted_x_m={_fmt(motion.final_x_m)}")
-    _report_violations(violations)
-    return EXIT_OK if not violations else EXIT_VIOLATION
+    _report_violations(motion.violations)
+    return EXIT_OK if not motion.violations else EXIT_VIOLATION
 
 
 def cmd_gait(args) -> int:
     geometry, limits = _resolve_setup(args)
     trajectory = generate_gait(args.period_s, args.cycles, limits=limits, geometry=geometry)
-    violations = _validate(trajectory, args.policy)
-    motion = analyse(trajectory, check=False)
+    motion = analyse(trajectory, args.policy)
     write_trajectory_file(trajectory, args.out)
     print(f"waypoints={len(trajectory.waypoints)}")
     print(f"period_s={_fmt(args.period_s)}")
     print(f"cycles={args.cycles}")
     _print_motion_summary(motion)
-    _report_violations(violations)
-    return EXIT_OK if not violations else EXIT_VIOLATION
+    _report_violations(motion.violations)
+    return EXIT_OK if not motion.violations else EXIT_VIOLATION
 
 
 def cmd_check(args) -> int:
     trajectory = read_trajectory_file(args.trajectory)
-    violations = validate_trajectory(trajectory, policy=args.policy)
-    motion = analyse(trajectory, check=False)
+    motion = analyse(trajectory, args.policy, check=False)
     report = motion.integrity
-    _report_violations(violations)
+    _report_violations(motion.violations)
     print(f"integrity_ok={int(report.ok)}")
     for issue in report.violations:
         print(f"integrity_violation={issue}")
@@ -183,7 +167,7 @@ def cmd_check(args) -> int:
     print(f"events={len(motion.events)}")
     for event in motion.events:
         print(f"event={event.kind} t={event.t:.9g} {event.detail}")
-    clean = not violations and report.ok
+    clean = not motion.violations and report.ok
     print(f"ok={int(clean)}")
     return EXIT_OK if clean else EXIT_VIOLATION
 

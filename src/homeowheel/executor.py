@@ -5,7 +5,8 @@ interpolation per servo. Everything that is a property of that path is
 computed once per segment from the waypoints by :func:`analyse`: a segment
 turns the wheel iff both endpoints sit in the same driving configuration,
 and then by exactly ``drive_sign * delta_s1``; its events are decided
-analytically; and the twist certificate is read off the waypoints, where a
+analytically; its range, rate and time-order violations are found in the
+same walk; and the twist certificate is read off the waypoints, where a
 linear path reaches its extremes. This keeps the canonical even-turn routine
 exact (720 deg per loop iteration) and makes every result independent of any
 sample rate. While disengaged the wheel is held, not freewheeling: the
@@ -179,7 +180,8 @@ class Motion:
     :func:`segment_drive`) and event flags. ``integrity`` certifies the
     twist of every tegument segment over the whole path. ``engage_tol`` is
     the clutch tolerance the drives were computed with, which the trace
-    export also uses for the ``engaged`` column.
+    export also uses for the ``engaged`` column. ``violations`` are the
+    trajectory's constraint violations under the policy it was analysed with.
     """
 
     trajectory: Trajectory
@@ -189,6 +191,7 @@ class Motion:
     events: tuple[TraceEvent, ...]
     integrity: IntegrityReport
     engage_tol: float = ENGAGE_TOL
+    violations: tuple[Violation, ...] = ()
 
     @property
     def final_theta_deg(self) -> float:
@@ -317,48 +320,6 @@ def build_rotate_wheel_2n(n: int, segment_duration: float = 1.0,
 
 
 # --------------------------------------------------------------------------
-# Validation
-
-
-def validate_trajectory(trajectory: Trajectory, policy: Policy = Policy.STRICT,
-                        engage_tol: float = ENGAGE_TOL) -> list[Violation]:
-    """Report every constraint violation in the trajectory.
-
-    Checks time monotonicity, per-waypoint ranges, and per-segment rates.
-    Interpolation is linear on the authored values, so the shaft's lifted
-    angle along a segment stays between its in-range endpoints by convexity;
-    in particular a 350 -> 10 segment is the -340 sweep, never a +20
-    wraparound, and is legal only if the rate limit admits it. Under the
-    strict policy, segments that move the shaft with the clutch open are
-    violations; the lenient policy leaves them as trace warnings.
-    """
-    waypoints = trajectory.waypoints
-    if not waypoints:
-        return [EmptyTrajectory()]
-    violations: list[Violation] = []
-    for index, wp in enumerate(waypoints):
-        for v in validate_state(wp.state, trajectory.limits):
-            violations.append(WaypointRangeViolation(index, v.servo, v.value, v.lo, v.hi))
-    for i, a, b in trajectory.segments():
-        if not b.t > a.t:
-            violations.append(TimeOrderViolation(i + 1, b.t))
-            continue
-        dt = b.t - a.t
-        for servo, delta in (("s1", b.state.s1 - a.state.s1),
-                             ("s2", b.state.s2 - a.state.s2),
-                             ("s3", b.state.s3 - a.state.s3)):
-            rate = abs(delta) / dt
-            max_rate = trajectory.limits.rate_of(servo)
-            if rate > max_rate * (1.0 + _RATE_GUARD):
-                violations.append(RateViolation(i, f"servo{servo[-1]}", rate, max_rate))
-        if policy is Policy.STRICT:
-            d_s1 = b.state.s1 - a.state.s1
-            if d_s1 != 0.0 and segment_drive(a.state, b.state, engage_tol) == 0:
-                violations.append(DisengagedShaftMotion(i, a.t, b.t, d_s1))
-    return violations
-
-
-# --------------------------------------------------------------------------
 # Simulation
 
 
@@ -379,37 +340,51 @@ def _gimbal_entry(a: ServoState, b: ServoState, tol: float) -> float | None:
     return lo if lo <= hi else None
 
 
-def analyse(trajectory: Trajectory, *, check: bool = True,
+def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *, check: bool = True,
             engage_tol: float = ENGAGE_TOL, gimbal_tol: float = GIMBAL_TOL) -> Motion:
-    """Wheel angle, events and twist certificate of a trajectory, in one
-    pass over its segments.
+    """Wheel angle, events, constraint violations and twist certificate of a
+    trajectory, in one pass over its waypoints and one over its segments.
 
     Each segment turns the wheel by ``segment_drive * delta_s1``. Events
     record disengaged shaft motion and gimbal-lock risk (the shaft turning
     while the segment's (s2, s3) line passes within ``gimbal_tol`` of (0, 0),
     timed at the entry into that zone), one of each per offending segment,
-    and every out-of-range waypoint. The twist certificate checks the
+    and every out-of-range waypoint; they are ordered by time, then kind,
+    then waypoint, servo and segment. The twist certificate checks the
     waypoints only: a linear path reaches its extremes there.
 
-    With ``check`` (the default), range/rate/time violations raise
-    :class:`ValidationFailure`. With ``check=False`` the trajectory is
-    analysed as-is, which lets diagnostic tools report on broken files.
+    ``violations`` lists every out-of-range waypoint servo, then per segment
+    either a time-order violation or its rate excesses and, under the strict
+    ``policy``, its shaft motion with the clutch open (the lenient policy
+    leaves that as an event). Interpolation is linear on the authored values,
+    so the shaft's lifted angle along a segment stays between its in-range
+    endpoints by convexity; in particular a 350 -> 10 segment is the -340
+    sweep, never a +20 wraparound, and is legal only if the rate limit
+    admits it.
+
+    With ``check`` (the default), the violations other than
+    :class:`DisengagedShaftMotion` raise :class:`ValidationFailure`. With
+    ``check=False`` the trajectory is analysed as-is, which lets diagnostic
+    tools report on broken files. A trajectory without waypoints raises
+    either way.
     """
     waypoints = trajectory.waypoints
     if not waypoints:
         raise ValidationFailure([EmptyTrajectory()])
-    if check:
-        hard = validate_trajectory(trajectory, policy=Policy.LENIENT)
-        if hard:
-            raise ValidationFailure(hard)
+    limits = trajectory.limits
+    strict = policy is Policy.STRICT
+    rate_limits = (("servo1", limits.s1_max_rate), ("servo2", limits.s2_max_rate),
+                   ("servo3", limits.s3_max_rate))
 
     events: list[TraceEvent] = []
+    violations: list[Violation] = []
     out_of_range = []
     for index, wp in enumerate(waypoints):
-        violations = validate_state(wp.state, trajectory.limits)
-        out_of_range.append(bool(violations))
-        for v in violations:
+        bad = validate_state(wp.state, limits)
+        out_of_range.append(bool(bad))
+        for v in bad:
             events.append(TraceEvent(wp.t, EVENT_RANGE_VIOLATION, f"waypoint {index}: {v}"))
+            violations.append(WaypointRangeViolation(index, v.servo, v.value, v.lo, v.hi))
 
     theta = [0.0]
     drives: list[int] = []
@@ -418,11 +393,22 @@ def analyse(trajectory: Trajectory, *, check: bool = True,
         seg_dt = b.t - a.t
         d_s1 = b.state.s1 - a.state.s1
         drive = segment_drive(a.state, b.state, engage_tol)
+        disengaged = drive == 0 and d_s1 != 0.0
         seg_flags = FLAG_RANGE_VIOLATION if out_of_range[i] or out_of_range[i + 1] else 0
-        if drive == 0 and d_s1 != 0.0:
+        if disengaged:
             seg_flags |= FLAG_DISENGAGED_SHAFT_MOTION
             events.append(TraceEvent(a.t, EVENT_DISENGAGED_SHAFT_MOTION,
                                      f"segment {i}: shaft delta {d_s1!r} deg with the clutch open"))
+        if not b.t > a.t:
+            violations.append(TimeOrderViolation(i + 1, b.t))
+        else:
+            for (servo, max_rate), delta in zip(
+                    rate_limits, (d_s1, b.state.s2 - a.state.s2, b.state.s3 - a.state.s3)):
+                rate = abs(delta) / seg_dt
+                if rate > max_rate * (1.0 + _RATE_GUARD):
+                    violations.append(RateViolation(i, servo, rate, max_rate))
+            if strict and disengaged:
+                violations.append(DisengagedShaftMotion(i, a.t, b.t, d_s1))
         s1_rate = d_s1 / seg_dt if seg_dt > 0.0 else 0.0
         entry = _gimbal_entry(a.state, b.state, gimbal_tol) if s1_rate != 0.0 else None
         if entry is not None:
@@ -434,11 +420,25 @@ def analyse(trajectory: Trajectory, *, check: bool = True,
         drives.append(drive)
         flags.append(seg_flags)
 
-    events.sort(key=lambda e: (e.t, e.kind, e.detail))
+    if check:
+        hard = [v for v in violations if not isinstance(v, DisengagedShaftMotion)]
+        if hard:
+            raise ValidationFailure(hard)
+    events.sort(key=lambda e: (e.t, e.kind))  # stable: emission order breaks ties
     integrity = check_integrity([ledger_from_state(wp.state) for wp in waypoints],
-                                trajectory.limits, [wp.t for wp in waypoints])
+                                limits, [wp.t for wp in waypoints])
     return Motion(trajectory, tuple(theta), tuple(drives), tuple(flags), tuple(events),
-                  integrity, engage_tol)
+                  integrity, engage_tol, tuple(violations))
+
+
+def validate_trajectory(trajectory: Trajectory, policy: Policy = Policy.STRICT,
+                        engage_tol: float = ENGAGE_TOL) -> list[Violation]:
+    """Every constraint violation of the trajectory under ``policy``: the
+    ``violations`` of ``analyse(trajectory, policy, check=False)``, or
+    ``[EmptyTrajectory()]`` when it has no waypoints."""
+    if not trajectory.waypoints:
+        return [EmptyTrajectory()]
+    return list(analyse(trajectory, policy, check=False, engage_tol=engage_tol).violations)
 
 
 def _subdivisions(seg_dt: float, d_s1: float, sample_rate: float) -> int:

@@ -155,8 +155,9 @@ def validate_state(state: ServoState, limits: ServoLimits = DEFAULT_LIMITS) -> l
     the range endpoints are exact binary floats.
     """
     violations = []
-    for servo, value in (("servo1", state.s1), ("servo2", state.s2), ("servo3", state.s3)):
-        lo, hi = limits.range_of("s" + servo[-1])
+    for servo, value, (lo, hi) in (("servo1", state.s1, limits.s1_range),
+                                   ("servo2", state.s2, limits.s2_range),
+                                   ("servo3", state.s3, limits.s3_range)):
         if not lo <= value <= hi:
             violations.append(RangeViolation(servo, value, lo, hi))
     return violations

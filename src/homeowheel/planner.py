@@ -162,7 +162,8 @@ def generate_gait(period_s: float, cycles: int,
 
     Raises :class:`RateInfeasible` when the period cannot fit a 360 deg
     sweep at the shaft rate limit plus the 180 deg swap dwells, and
-    InvalidParameter when the 4 cycles + 1 waypoints exceed MAX_WAYPOINTS.
+    InvalidParameter when the 4 cycles + 1 waypoints exceed MAX_WAYPOINTS or
+    the limits exclude a driving configuration or s1 = 0 or 360.
     """
     if isinstance(cycles, bool) or not isinstance(cycles, int) or cycles < 1:
         raise InvalidParameter(f"cycles must be a positive integer, got {cycles!r}")
@@ -172,6 +173,9 @@ def generate_gait(period_s: float, cycles: int,
     if not (math.isfinite(period_s) and period_s > 0.0):
         raise InvalidParameter(f"period must be positive, got {period_s!r}")
     _check_configs_reachable(limits)
+    lo, hi = limits.s1_range
+    if not (lo <= 0.0 and 360.0 <= hi):
+        raise InvalidParameter(f"s1 range ({lo}, {hi}) excludes the gait's 0 -> 360 sweep")
 
     sweep_min = 360.0 / limits.s1_max_rate
     dwell_min = max(180.0 / limits.s2_max_rate, 180.0 / limits.s3_max_rate)

@@ -166,6 +166,23 @@ class TestGaitCommand:
         assert stdout == "" and "MAX_WAYPOINTS" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("ranges", [{"s1": [0, 180]}, {"s1": [10, 360]},
+                                        {"s2": [-45, 90]}, {"s3": [-90, 45]}])
+    def test_limits_excluding_the_gait_are_a_usage_error(self, capsys, tmp_path, forbid,
+                                                        ranges):
+        # The gait sweeps s1 over 0..360 in both clutch configurations, so
+        # limits that exclude any of those values are rejected before a
+        # waypoint is built.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"servo_ranges_deg": ranges}))
+        forbid(planner, "ServoState")
+        out = tmp_path / "g.json"
+        code, stdout, stderr = invoke(capsys, "gait", "--period-s", "8", "--cycles", "20000",
+                                      "--config", str(config), "--out", str(out))
+        assert code == 2
+        assert stdout == "" and len(stderr.splitlines()) == 1
+        assert not out.exists()
+
     def test_zero_cycles_is_a_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run(["gait", "--period-s", "8", "--cycles", "0",
@@ -244,6 +261,21 @@ class TestCheckCommand:
         assert code_lenient == 0
         assert "event=DisengagedShaftMotion" in stdout_lenient
         assert "event=GimbalLockRisk" in stdout_lenient
+
+    def test_events_at_equal_times_keep_segment_order(self, capsys, tmp_path):
+        # Segments 1..10 all start at t=1 and move the shaft with the clutch
+        # open; their events print in segment order, not string order.
+        trajectory = Trajectory(waypoints=tuple(
+            Waypoint(min(k, 1) * 1.0, ServoState(10.0 * k, 0.0, 0.0)) for k in range(12)))
+        path = tmp_path / "ties.json"
+        write_trajectory_file(trajectory, path)
+        code, stdout, _ = invoke(capsys, "check", str(path))
+        assert code == 1
+        events = [line.split(":")[0] for line in stdout.splitlines()
+                  if line.startswith("event=")]
+        assert events == ["event=DisengagedShaftMotion t=0 segment 0",
+                          "event=GimbalLockRisk t=0 segment 0"] + [
+            f"event=DisengagedShaftMotion t=1 segment {i}" for i in range(1, 11)]
 
 
 class TestScaleCommand:
@@ -382,6 +414,31 @@ class TestConfigAndDeterminism:
             assert run(argv + [str(second)]) == 0
             capsys.readouterr()
             assert first.read_bytes() == second.read_bytes()
+
+
+def test_every_command_walks_the_trajectory_once(capsys, tmp_path, forbid):
+    # analyse finds the violations itself: with validate_trajectory forbidden
+    # in every module that binds it, each command prints what it did before.
+    plan, bad = str(tmp_path / "plan.json"), str(tmp_path / "bad.json")
+    write_trajectory_file(Trajectory(waypoints=(
+        Waypoint(0.0, ServoState(0.0, 0.0, 0.0)), Waypoint(0.5, ServoState(400.0, 0.0, 0.0)),
+        Waypoint(0.5, ServoState(0.0, 0.0, 0.0)))), bad)
+    commands = [
+        ["simulate", "--n", "2", "--out-traj", str(tmp_path / "sim.json")],
+        ["plan", "--target-deg", "-540", "--out", plan],
+        ["gait", "--period-s", "6", "--cycles", "2", "--out", str(tmp_path / "gait.json")],
+        ["check", plan],
+        ["check", bad],
+        ["check", bad, "--policy", "lenient"],
+    ]
+    expected = [invoke(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in expected] == [0, 0, 0, 0, 1, 1]
+    validate = executor.validate_trajectory
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("homeowheel")
+                and getattr(module, "validate_trajectory", None) is validate):
+            forbid(module, "validate_trajectory")
+    assert [invoke(capsys, *argv) for argv in commands] == expected
 
 
 NUMPY_PROBE = """

@@ -347,6 +347,25 @@ class TestValidateTrajectory:
         assert WaypointRangeViolation in kinds
         assert TimeOrderViolation in kinds
 
+    def test_analyse_walks_each_waypoint_and_segment_once(self, monkeypatch):
+        # Validation is part of analyse's walk, checked or not, strict or
+        # lenient: one range check per waypoint, one clutch test per segment.
+        calls = []
+        for name in ("validate_state", "segment_drive"):
+            def counted(*args, _fn=getattr(executor, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(executor, name, counted)
+        trajectory = build_rotate_wheel_2n(3)
+        runs = [lambda: analyse(trajectory), lambda: analyse(trajectory, check=False),
+                lambda: analyse(trajectory, Policy.LENIENT),
+                lambda: validate_trajectory(trajectory)]
+        for walk in runs:
+            calls.clear()
+            walk()
+            assert calls.count("validate_state") == len(trajectory.waypoints)
+            assert calls.count("segment_drive") == len(trajectory.waypoints) - 1
+
 
 class TestTrajectoryFiles:
     def test_round_trip_preserves_everything(self, tmp_path):

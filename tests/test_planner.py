@@ -211,6 +211,16 @@ class TestGenerateGait:
         with pytest.raises(InvalidParameter):
             generate_gait(8.0, True)
 
+    @pytest.mark.parametrize("s1_range", [(0.0, 180.0), (10.0, 360.0)])
+    def test_rejects_limits_excluding_the_shaft_sweep(self, forbid, s1_range):
+        forbid(planner, "ServoState")
+        with pytest.raises(InvalidParameter, match="0 -> 360"):
+            generate_gait(8.0, 1, limits=ServoLimits(s1_range=s1_range))
+
+    def test_wider_shaft_range_keeps_the_gait(self):
+        limits = ServoLimits(s1_range=(-10.0, 370.0))
+        assert generate_gait(8.0, 2, limits=limits).waypoints == generate_gait(8.0, 2).waypoints
+
     def test_waypoint_cap_is_checked_in_closed_form(self, monkeypatch):
         # 4 cycles + 1 waypoints: with the cap at 9, two cycles is the longest gait.
         monkeypatch.setattr(planner, "MAX_WAYPOINTS", 9)

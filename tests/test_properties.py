@@ -13,11 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homeowheel.cli import run
-from homeowheel.errors import TrajectoryParseError
+from homeowheel.errors import TrajectoryParseError, ValidationFailure
 from homeowheel.executor import (
+    _RATE_GUARD,
     FLAG_GIMBAL_LOCK_RISK,
+    DisengagedShaftMotion,
+    EmptyTrajectory,
     Policy,
+    RateViolation,
+    TimeOrderViolation,
     Trajectory,
+    Violation,
     Waypoint,
     WaypointRangeViolation,
     analyse,
@@ -31,7 +37,13 @@ from homeowheel.executor import (
     validate_trajectory,
     write_trace_file,
 )
-from homeowheel.mechanism import ENGAGE_TOL, MechanismGeometry, ServoLimits, ServoState
+from homeowheel.mechanism import (
+    ENGAGE_TOL,
+    MechanismGeometry,
+    ServoLimits,
+    ServoState,
+    validate_state,
+)
 from homeowheel.planner import count_engaged_sweeps, generate_gait, plan_rotation
 from homeowheel.tegument import check_integrity, ledger_from_state
 
@@ -172,6 +184,59 @@ def test_streamed_trace_file_is_the_simulated_trace(trajectory, rate, engage_tol
         written = path.read_bytes()
     trace = simulate(trajectory, rate, check=False, engage_tol=engage_tol)
     assert written == trace_to_csv(trace).encode("utf-8")
+
+
+def reference_validate_trajectory(trajectory: Trajectory, policy: Policy = Policy.STRICT,
+                                  engage_tol: float = ENGAGE_TOL) -> list[Violation]:
+    """The standalone validator that analyse replaced, kept as the reference."""
+    waypoints = trajectory.waypoints
+    if not waypoints:
+        return [EmptyTrajectory()]
+    violations: list[Violation] = []
+    for index, wp in enumerate(waypoints):
+        for v in validate_state(wp.state, trajectory.limits):
+            violations.append(WaypointRangeViolation(index, v.servo, v.value, v.lo, v.hi))
+    for i, a, b in trajectory.segments():
+        if not b.t > a.t:
+            violations.append(TimeOrderViolation(i + 1, b.t))
+            continue
+        dt = b.t - a.t
+        for servo, delta in (("s1", b.state.s1 - a.state.s1),
+                             ("s2", b.state.s2 - a.state.s2),
+                             ("s3", b.state.s3 - a.state.s3)):
+            rate = abs(delta) / dt
+            max_rate = trajectory.limits.rate_of(servo)
+            if rate > max_rate * (1.0 + _RATE_GUARD):
+                violations.append(RateViolation(i, f"servo{servo[-1]}", rate, max_rate))
+        if policy is Policy.STRICT:
+            d_s1 = b.state.s1 - a.state.s1
+            if d_s1 != 0.0 and segment_drive(a.state, b.state, engage_tol) == 0:
+                violations.append(DisengagedShaftMotion(i, a.t, b.t, d_s1))
+    return violations
+
+
+# Limits that admit every angle and rate the strategies draw, so that some
+# trajectories pass the lenient policy.
+WIDE_LIMITS = ServoLimits((-400.0, 400.0), (-400.0, 400.0), (-400.0, 400.0),
+                          4000.0, 4000.0, 4000.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(unchecked_trajectories(), unchecked_trajectories().map(
+           lambda t: Trajectory(t.geometry, WIDE_LIMITS, t.waypoints))),
+       st.sampled_from(list(Policy)), st.one_of(st.just(ENGAGE_TOL), tolerances))
+def test_analyse_reports_the_reference_violations(trajectory, policy, engage_tol):
+    expected = reference_validate_trajectory(trajectory, policy, engage_tol)
+    assert validate_trajectory(trajectory, policy, engage_tol) == expected
+    motion = analyse(trajectory, policy, check=False, engage_tol=engage_tol)
+    assert list(motion.violations) == expected
+    lenient = reference_validate_trajectory(trajectory, Policy.LENIENT)
+    if lenient:
+        with pytest.raises(ValidationFailure) as failure:
+            analyse(trajectory, policy, engage_tol=engage_tol)
+        assert failure.value.violations == lenient
+    else:
+        assert analyse(trajectory, policy, engage_tol=engage_tol) == motion
 
 
 @settings(max_examples=200, deadline=None)

@@ -33,10 +33,9 @@ import enum
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Union
 
 from .errors import InvalidParameter, TrajectoryParseError, ValidationFailure
 from .mechanism import (
@@ -47,11 +46,13 @@ from .mechanism import (
     MechanismGeometry,
     ServoLimits,
     ServoState,
+    check_reachable,
     drive_sign,
     engaged,
     validate_state,
 )
-from .tegument import IntegrityReport, check_integrity, ledger_from_state
+from .records import record
+from .tegument import check_integrity, ledger_from_state
 
 TRAJECTORY_FORMAT_VERSION = 1
 
@@ -96,22 +97,21 @@ class Policy(enum.Enum):
     LENIENT = "lenient"
 
 
-@dataclass(frozen=True, slots=True)
-class Waypoint:
-    t: float
-    state: ServoState
+class Waypoint(record("Waypoint", "t state")):
+    """A :class:`ServoState` at time ``t`` (seconds)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Timed servo waypoints plus the geometry and limits they assume."""
+class Trajectory(record("Trajectory", "geometry limits waypoints")):
+    """Timed servo waypoints plus the geometry and limits they assume;
+    ``waypoints`` is stored as a tuple."""
 
-    geometry: MechanismGeometry = DEFAULT_GEOMETRY
-    limits: ServoLimits = DEFAULT_LIMITS
-    waypoints: tuple[Waypoint, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "waypoints", tuple(self.waypoints))
+    def __new__(cls, geometry: MechanismGeometry = DEFAULT_GEOMETRY,
+                limits: ServoLimits = DEFAULT_LIMITS, waypoints: Iterable[Waypoint] = ()):
+        return super().__new__(cls, geometry, limits, tuple(waypoints))
 
     @classmethod
     def from_states(cls, states: Iterable[ServoState], segment_duration: float = 1.0,
@@ -132,29 +132,22 @@ class Trajectory:
         return self.waypoints[-1].state
 
 
-@dataclass(frozen=True, slots=True)
-class TraceSample:
-    t: float
-    state: ServoState
-    theta_wheel_deg: float
-    x_m: float
-    engaged: bool
-    event_flags: int
+class TraceSample(record("TraceSample", "t state theta_wheel_deg x_m engaged event_flags")):
+    """One row of the trace export."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    t: float
-    kind: str
-    detail: str
+class TraceEvent(record("TraceEvent", "t kind detail")):
+    """An event of ``kind`` at time ``t``, with a human-readable ``detail``."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SimTrace:
-    """Time-sampled simulation output plus recorded events."""
+class SimTrace(record("SimTrace", "samples events")):
+    """Time-sampled simulation output plus recorded events (both tuples)."""
 
-    samples: tuple[TraceSample, ...]
-    events: tuple[TraceEvent, ...]
+    __slots__ = ()
 
     @property
     def final_theta_deg(self) -> float:
@@ -171,8 +164,8 @@ class SimTrace:
         return [s.t for s in self.samples]
 
 
-@dataclass(frozen=True)
-class Motion:
+class Motion(record("Motion", "trajectory theta_deg drives flags events integrity "
+                    "engage_tol violations", defaults=(ENGAGE_TOL, ()))):
     """What a trajectory does, computed once per segment from its waypoints.
 
     ``theta_deg[k]`` is the wheel angle at waypoint k (0 at the first);
@@ -182,16 +175,10 @@ class Motion:
     the clutch tolerance the drives were computed with, which the trace
     export also uses for the ``engaged`` column. ``violations`` are the
     trajectory's constraint violations under the policy it was analysed with.
+    The sequences are tuples.
     """
 
-    trajectory: Trajectory
-    theta_deg: tuple[float, ...]
-    drives: tuple[int, ...]
-    flags: tuple[int, ...]
-    events: tuple[TraceEvent, ...]
-    integrity: IntegrityReport
-    engage_tol: float = ENGAGE_TOL
-    violations: tuple[Violation, ...] = ()
+    __slots__ = ()
 
     @property
     def final_theta_deg(self) -> float:
@@ -207,52 +194,38 @@ class Motion:
 # Violations
 
 
-@dataclass(frozen=True, slots=True)
-class EmptyTrajectory:
+class EmptyTrajectory(record("EmptyTrajectory", "")):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "EmptyTrajectory: trajectory has no waypoints"
 
 
-@dataclass(frozen=True, slots=True)
-class TimeOrderViolation:
-    index: int
-    t: float
+class TimeOrderViolation(record("TimeOrderViolation", "index t")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"TimeOrderViolation at waypoint {self.index}: t={self.t!r} does not increase"
 
 
-@dataclass(frozen=True, slots=True)
-class WaypointRangeViolation:
-    index: int
-    servo: str
-    value: float
-    lo: float
-    hi: float
+class WaypointRangeViolation(record("WaypointRangeViolation", "index servo value lo hi")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (f"RangeViolation {self.servo} at waypoint {self.index}: "
                 f"{self.value!r} outside [{self.lo}, {self.hi}]")
 
 
-@dataclass(frozen=True, slots=True)
-class RateViolation:
-    segment: int
-    servo: str
-    rate: float
-    max_rate: float
+class RateViolation(record("RateViolation", "segment servo rate max_rate")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (f"RateViolation {self.servo} on segment {self.segment}: "
                 f"{self.rate!r} deg/s exceeds {self.max_rate!r} deg/s")
 
 
-@dataclass(frozen=True, slots=True)
-class DisengagedShaftMotion:
-    segment: int
-    t_start: float
-    t_end: float
-    shaft_delta: float
+class DisengagedShaftMotion(record("DisengagedShaftMotion", "segment t_start t_end shaft_delta")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (f"DisengagedShaftMotion on segment {self.segment} "
@@ -260,8 +233,8 @@ class DisengagedShaftMotion:
                 f"{self.shaft_delta!r} deg with the clutch open")
 
 
-Violation = Union[EmptyTrajectory, TimeOrderViolation, WaypointRangeViolation,
-                  RateViolation, DisengagedShaftMotion]
+Violation = (EmptyTrajectory | TimeOrderViolation | WaypointRangeViolation
+             | RateViolation | DisengagedShaftMotion)
 
 
 # --------------------------------------------------------------------------
@@ -291,13 +264,15 @@ def build_rotate_wheel_2n(n: int, segment_duration: float = 1.0,
     sweeps the shaft back down (wheel +360 again), and swaps back; finally
     return s3 and s2 to rest. One waypoint per servo move, in that exact
     order: 6n + 4 segments, ending at the home state with every twist back
-    at zero. More than :data:`MAX_WAYPOINTS` waypoints raise InvalidParameter.
+    at zero. More than :data:`MAX_WAYPOINTS` waypoints, or limits that exclude
+    the driving configurations or s1 = 0 or 360, raise InvalidParameter.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidParameter(f"n must be a positive integer, got {n!r}")
     if 6 * n + 5 > MAX_WAYPOINTS:
         raise InvalidParameter(f"n={n} needs {6 * n + 5} waypoints, "
                                f"more than MAX_WAYPOINTS ({MAX_WAYPOINTS})")
+    check_reachable(limits, full_sweep=True)
     states = [
         ServoState(0.0, 0.0, 0.0),
         ServoState(0.0, 0.0, -90.0),

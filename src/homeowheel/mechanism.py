@@ -33,13 +33,12 @@ here is safe to share across threads or processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import add
 
 from .errors import InvalidParameter, ValidationFailure
+from .records import record
 from .rotations import (
     IDENTITY_QUATERNION,
-    UnitQuaternion,
     quat_compose,
     quat_rotate,
     rot_x,
@@ -53,36 +52,35 @@ ENGAGE_TOL = 1e-9
 GIMBAL_TOL = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
-class ServoState:
-    """The three joint angles (degrees) defining a mechanism configuration."""
+class ServoState(record("ServoState", "s1 s2 s3")):
+    """The three joint angles (degrees) defining a mechanism configuration:
+    ``s1`` center-shaft twist ([0, 360], no wraparound), ``s2`` gantry swing
+    ([-90, +90]), ``s3`` wrist pivot ([-90, +90])."""
 
-    s1: float  # center-shaft twist; [0, 360], no wraparound
-    s2: float  # gantry swing; [-90, +90]
-    s3: float  # wrist pivot; [-90, +90]
+    __slots__ = ()
 
 
 HOME_STATE = ServoState(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class ServoLimits:
-    """Closed angle ranges (degrees) and rate limits (degrees/second)."""
+class ServoLimits(record("ServoLimits",
+                         "s1_range s2_range s3_range s1_max_rate s2_max_rate s3_max_rate",
+                         defaults=((0.0, 360.0), (-90.0, 90.0), (-90.0, 90.0),
+                                   360.0, 360.0, 360.0))):
+    """Closed angle ranges (degrees, ``(min, max)`` pairs) and rate limits
+    (degrees/second)."""
 
-    s1_range: tuple[float, float] = (0.0, 360.0)
-    s2_range: tuple[float, float] = (-90.0, 90.0)
-    s3_range: tuple[float, float] = (-90.0, 90.0)
-    s1_max_rate: float = 360.0
-    s2_max_rate: float = 360.0
-    s3_max_rate: float = 360.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("s1", "s2", "s3"):
             lo, hi = getattr(self, f"{name}_range")
             if not -math.inf < lo < hi < math.inf:
                 raise InvalidParameter(f"{name}_range must have finite min < max, got ({lo}, {hi})")
             if not 0.0 < getattr(self, f"{name}_max_rate") < math.inf:
                 raise InvalidParameter(f"{name}_max_rate must be positive and finite")
+        return self
 
     def range_of(self, servo: str) -> tuple[float, float]:
         return getattr(self, f"{servo}_range")
@@ -94,54 +92,62 @@ class ServoLimits:
 DEFAULT_LIMITS = ServoLimits()
 
 
-@dataclass(frozen=True, slots=True)
-class MechanismGeometry:
+def check_reachable(limits: ServoLimits, *, full_sweep: bool = False) -> None:
+    """Raise InvalidParameter unless ``limits`` admit both driving
+    configurations, (s2, s3) = (+90, -90) and (-90, +90), and, with
+    ``full_sweep``, an s1 range that includes the 0 -> 360 shaft sweep of the
+    canonical routine and the gait. Called before any waypoint is built."""
+    for value, (lo, hi), name in ((90.0, limits.s2_range, "s2"),
+                                  (-90.0, limits.s2_range, "s2"),
+                                  (90.0, limits.s3_range, "s3"),
+                                  (-90.0, limits.s3_range, "s3")):
+        if not lo <= value <= hi:
+            raise InvalidParameter(
+                f"limits exclude {name}={value}, so the driving configurations "
+                "are unreachable and no wheel motion can be planned")
+    lo, hi = limits.s1_range
+    if full_sweep and not (lo <= 0.0 and 360.0 <= hi):
+        raise InvalidParameter(f"s1 range ({lo}, {hi}) excludes the 0 -> 360 shaft sweep")
+
+
+class MechanismGeometry(record("MechanismGeometry",
+                               "wheel_radius gantry_offset upper_link_length lower_link_length",
+                               defaults=(0.10, 0.10, 0.20, 0.15))):
     """Wheel radius (drives odometry) plus display-only link lengths, meters."""
 
-    wheel_radius: float = 0.10
-    gantry_offset: float = 0.10
-    upper_link_length: float = 0.20
-    lower_link_length: float = 0.15
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.wheel_radius < math.inf:
             raise InvalidParameter(f"wheel_radius must be in (0, inf), got {self.wheel_radius!r}")
         for name in ("gantry_offset", "upper_link_length", "lower_link_length"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise InvalidParameter(f"{name} must be non-negative and finite")
+        return self
 
 
 DEFAULT_GEOMETRY = MechanismGeometry()
 
 
-@dataclass(frozen=True, slots=True)
-class Pose:
-    """Rigid pose: unit-quaternion rotation plus translation in meters."""
+class Pose(record("Pose", "rotation translation")):
+    """Rigid pose: unit-quaternion rotation plus an (x, y, z) translation in
+    meters."""
 
-    rotation: UnitQuaternion
-    translation: tuple[float, float, float]
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class FramePoses:
+class FramePoses(record("FramePoses",
+                        "body gantry center_shaft_tip elbow wrist wheel_hub")):
     """Poses of the named frames along the chain, in body coordinates."""
 
-    body: Pose
-    gantry: Pose
-    center_shaft_tip: Pose
-    elbow: Pose
-    wrist: Pose
-    wheel_hub: Pose
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class RangeViolation:
+class RangeViolation(record("RangeViolation", "servo value lo hi")):
     """A servo angle outside its closed range."""
 
-    servo: str
-    value: float
-    lo: float
-    hi: float
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (f"RangeViolation {self.servo}: {self.value!r} "

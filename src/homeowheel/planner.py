@@ -27,6 +27,7 @@ from .mechanism import (
     MechanismGeometry,
     ServoLimits,
     ServoState,
+    check_reachable,
     validate_state,
 )
 
@@ -34,17 +35,6 @@ from .mechanism import (
 FORWARD_CONFIG = (90.0, -90.0)
 #: (s2, s3) of the configuration where increasing s1 rolls the wheel backward.
 BACKWARD_CONFIG = (-90.0, 90.0)
-
-
-def _check_configs_reachable(limits: ServoLimits) -> None:
-    for value, (lo, hi), name in ((90.0, limits.s2_range, "s2"),
-                                  (-90.0, limits.s2_range, "s2"),
-                                  (90.0, limits.s3_range, "s3"),
-                                  (-90.0, limits.s3_range, "s3")):
-        if not lo <= value <= hi:
-            raise InvalidParameter(
-                f"limits exclude {name}={value}, so the driving configurations "
-                "are unreachable and no wheel motion can be planned")
 
 
 class _Builder:
@@ -100,7 +90,7 @@ def plan_rotation(target_deg: float, start: ServoState = HOME_STATE,
         raise ValidationFailure(violations)
     lo, hi = limits.s1_range
     if target_deg != 0.0:
-        _check_configs_reachable(limits)
+        check_reachable(limits)
         later_sweeps = (abs(target_deg) - max(hi - start.s1, start.s1 - lo)) / (hi - lo)
         if later_sweeps > MAX_PLAN_SWEEPS - 1:
             raise InvalidParameter(f"target {target_deg!r} deg needs more than "
@@ -172,10 +162,7 @@ def generate_gait(period_s: float, cycles: int,
                                f"more than MAX_WAYPOINTS ({MAX_WAYPOINTS})")
     if not (math.isfinite(period_s) and period_s > 0.0):
         raise InvalidParameter(f"period must be positive, got {period_s!r}")
-    _check_configs_reachable(limits)
-    lo, hi = limits.s1_range
-    if not (lo <= 0.0 and 360.0 <= hi):
-        raise InvalidParameter(f"s1 range ({lo}, {hi}) excludes the gait's 0 -> 360 sweep")
+    check_reachable(limits, full_sweep=True)
 
     sweep_min = 360.0 / limits.s1_max_rate
     dwell_min = max(180.0 / limits.s2_max_rate, 180.0 / limits.s3_max_rate)

@@ -16,11 +16,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from numbers import Real
-from typing import Sequence
 
 from .errors import InvalidAxis
+from .records import record
 
 #: Squared-norm drift beyond which a quaternion is renormalized.
 UNIT_NORM_DRIFT = 1e-12
@@ -29,14 +29,10 @@ UNIT_NORM_DRIFT = 1e-12
 AXIS_NORM_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class UnitQuaternion:
+class UnitQuaternion(record("UnitQuaternion", "w x y z")):
     """Hamilton quaternion of unit norm. Immutable value type."""
 
-    w: float
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
 
     def norm(self) -> float:
         return math.sqrt(self.w * self.w + self.x * self.x

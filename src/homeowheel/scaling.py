@@ -13,35 +13,34 @@ angles only, never on timing, and grants no regeneration credit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import InvalidParameter, ZeroDistance
 from .executor import Motion
+from .records import record
 
 STANDARD_GRAVITY = 9.81  # m/s^2
 
 
-@dataclass(frozen=True, slots=True)
-class ScalingModel:
+class ScalingModel(record("ScalingModel", "length_ref mass_ref force_ref",
+                          defaults=(1.0, 1.0, 1.0))):
     """Reference design point: length (m), mass (kg), actuator force (N)."""
 
-    length_ref: float = 1.0
-    mass_ref: float = 1.0
-    force_ref: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("length_ref", "mass_ref", "force_ref"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidParameter(f"{name} must be positive and finite, got {value!r}")
+        return self
 
 
-@dataclass(frozen=True, slots=True)
-class ScaledQuantities:
-    mass_kg: float
-    force_n: float
-    accel_m_s2: float
+class ScaledQuantities(record("ScaledQuantities", "mass_kg force_n accel_m_s2")):
+    """Mass (kg), actuator force (N) and acceleration (m/s^2) at one size."""
+
+    __slots__ = ()
 
 
 def scale(model: ScalingModel, length_m: float) -> ScaledQuantities:

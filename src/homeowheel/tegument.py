@@ -14,26 +14,24 @@ continuously for callers that only have samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .mechanism import DEFAULT_LIMITS, ServoLimits, ServoState
+from .records import record
 from .rotations import unwrap_angle
 
 _SEGMENTS = ("seg_body_gantry", "seg_shaft_axial", "seg_wrist")
 
 
-@dataclass(frozen=True, slots=True)
-class TwistLedger:
+class TwistLedger(record("TwistLedger", "seg_body_gantry seg_shaft_axial seg_wrist",
+                         defaults=(0.0, 0.0, 0.0))):
     """Accumulated lifted twist of each tegument segment, degrees.
 
     Field order follows the chain: body-to-gantry (Servo 2), shaft axial
     (Servo 1), wrist (Servo 3).
     """
 
-    seg_body_gantry: float = 0.0
-    seg_shaft_axial: float = 0.0
-    seg_wrist: float = 0.0
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.seg_body_gantry, self.seg_shaft_axial, self.seg_wrist)
@@ -42,28 +40,23 @@ class TwistLedger:
 ZERO_LEDGER = TwistLedger()
 
 
-@dataclass(frozen=True, slots=True)
-class IntegrityViolation:
+class IntegrityViolation(record("IntegrityViolation", "time segment value")):
     """One sample whose lifted twist left its segment's allowed range."""
 
-    time: float
-    segment: str
-    value: float
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"IntegrityViolation {self.segment} at t={self.time!r}: twist {self.value!r} deg"
 
 
-@dataclass(frozen=True, slots=True)
-class IntegrityReport:
-    """Per-segment twist maxima and any bound violations.
+class IntegrityReport(record("IntegrityReport", "max_abs_twist violations")):
+    """Per-segment twist maxima and any bound violations, both tuples.
 
     ``max_abs_twist`` is ordered like :class:`TwistLedger`:
     (body-gantry, shaft-axial, wrist).
     """
 
-    max_abs_twist: tuple[float, float, float]
-    violations: tuple[IntegrityViolation, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -118,7 +111,7 @@ def check_integrity(ledgers: Sequence[TwistLedger],
     violations: list[IntegrityViolation] = []
     for idx, ledger in enumerate(ledgers):
         t = times[idx] if times is not None else float(idx)
-        for seg_idx, (name, value) in enumerate(zip(_SEGMENTS, ledger.as_tuple())):
+        for seg_idx, (name, value) in enumerate(zip(_SEGMENTS, ledger)):
             if abs(value) > maxima[seg_idx]:
                 maxima[seg_idx] = abs(value)
             lo, hi = bounds[seg_idx]

@@ -168,17 +168,20 @@ class TestGaitCommand:
 
     @pytest.mark.parametrize("ranges", [{"s1": [0, 180]}, {"s1": [10, 360]},
                                         {"s2": [-45, 90]}, {"s3": [-90, 45]}])
-    def test_limits_excluding_the_gait_are_a_usage_error(self, capsys, tmp_path, forbid,
-                                                        ranges):
-        # The gait sweeps s1 over 0..360 in both clutch configurations, so
-        # limits that exclude any of those values are rejected before a
-        # waypoint is built.
+    @pytest.mark.parametrize("module, argv", [
+        (planner, ("gait", "--period-s", "8", "--cycles", "20000")),
+        (executor, ("simulate", "--n", "10")),
+    ], ids=["gait", "simulate"])
+    def test_limits_excluding_the_sweeps_are_a_usage_error(self, capsys, tmp_path, forbid,
+                                                          ranges, module, argv):
+        # The gait and the canonical routine sweep s1 over 0..360 in both
+        # clutch configurations, so limits that exclude any of those values
+        # are rejected with one usage line before a waypoint is built.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"servo_ranges_deg": ranges}))
-        forbid(planner, "ServoState")
+        forbid(module, "ServoState")
         out = tmp_path / "g.json"
-        code, stdout, stderr = invoke(capsys, "gait", "--period-s", "8", "--cycles", "20000",
-                                      "--config", str(config), "--out", str(out))
+        code, stdout, stderr = invoke(capsys, *argv, "--config", str(config), "--out", str(out))
         assert code == 2
         assert stdout == "" and len(stderr.splitlines()) == 1
         assert not out.exists()
@@ -441,18 +444,20 @@ def test_every_command_walks_the_trajectory_once(capsys, tmp_path, forbid):
     assert [invoke(capsys, *argv) for argv in commands] == expected
 
 
-NUMPY_PROBE = """
+# Run under ``python -S``, so no site-packages ``.pth`` file can preload these.
+IMPORT_PROBE = """
 import json, sys
+heavy = ("numpy", "dataclasses", "inspect", "typing")
 import homeowheel.cli as cli
-loaded = ["numpy" in sys.modules]
+loaded = [[m for m in heavy if m in sys.modules]]
 for argv in json.loads(sys.argv[1]):
     cli.run(argv)
-    loaded.append("numpy" in sys.modules)
+    loaded.append([m for m in heavy if m in sys.modules])
 print(json.dumps(loaded), file=sys.stderr)
 """
 
 
-def test_no_command_imports_numpy(tmp_path):
+def test_no_command_imports_numpy_dataclasses_inspect_or_typing(tmp_path):
     plan = str(tmp_path / "plan.json")
     commands = [
         ["scale", "--lengths-m", "1,0.1"],
@@ -464,9 +469,9 @@ def test_no_command_imports_numpy(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(commands)],
+    done = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE, json.dumps(commands)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "ok=1" in done.stdout and "accel_ratio=" in done.stdout
-    # After the import, then after each command: numpy never loaded.
-    assert json.loads(done.stderr.splitlines()[-1]) == [False] * 6
+    # After the import, then after each command: none of them loaded.
+    assert json.loads(done.stderr.splitlines()[-1]) == [[]] * 6

@@ -102,6 +102,18 @@ class TestBuildRotateWheel2n:
             build_rotate_wheel_2n((MAX_WAYPOINTS - 5) // 6 + 1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda wps: Trajectory(waypoints=wps),
+    lambda wps: Trajectory(DEFAULT_GEOMETRY, DEFAULT_LIMITS, wps),
+    lambda wps: Trajectory(waypoints=iter(wps)),
+    lambda wps: Trajectory()._replace(waypoints=wps),
+], ids=["keyword", "positional", "iterator", "replace"])
+def test_trajectory_stores_its_waypoints_as_a_tuple(make):
+    waypoints = [Waypoint(0.0, S(0.0, 0.0, 0.0)), Waypoint(1.0, S(0.0, 0.0, -90.0))]
+    stored = make(waypoints).waypoints
+    assert type(stored) is tuple and stored == tuple(waypoints)
+
+
 class TestSegmentDrive:
     def test_same_configuration_keeps_its_sign(self):
         assert segment_drive(S(0, 90, -90), S(360, 90, -90)) == 1
@@ -495,9 +507,11 @@ class TestConfig:
         assert geometry.wheel_radius == 2.0
 
     def test_a_trajectory_file_is_a_config_for_its_header(self):
-        trajectory = build_rotate_wheel_2n(
-            1, geometry=MechanismGeometry(0.3, 0.0, 0.5, 0.25),
-            limits=ServoLimits((10.0, 100.0), (-95.0, 95.0), (-100.0, 90.0), 50.0, 60.0, 70.0))
+        # Limits the routine leaves: the header is parsed, the waypoints are not.
+        trajectory = Trajectory(
+            MechanismGeometry(0.3, 0.0, 0.5, 0.25),
+            ServoLimits((10.0, 100.0), (-95.0, 95.0), (-100.0, 90.0), 50.0, 60.0, 70.0),
+            build_rotate_wheel_2n(1).waypoints)
         assert parse_config(trajectory_to_json(trajectory)) == (trajectory.geometry,
                                                                 trajectory.limits)
 

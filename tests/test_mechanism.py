@@ -5,11 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from homeowheel.errors import ValidationFailure
+from homeowheel import executor, mechanism, rotations, scaling, tegument
+from homeowheel.errors import InvalidParameter, ValidationFailure
+from homeowheel.executor import (
+    DisengagedShaftMotion,
+    EmptyTrajectory,
+    RateViolation,
+    SimTrace,
+    TimeOrderViolation,
+    TraceEvent,
+    TraceSample,
+    Waypoint,
+    WaypointRangeViolation,
+    analyse,
+    build_rotate_wheel_2n,
+)
 from homeowheel.mechanism import (
     DEFAULT_GEOMETRY,
     DEFAULT_LIMITS,
+    HOME_STATE,
     MechanismGeometry,
+    RangeViolation,
     ServoLimits,
     ServoState,
     drive_sign,
@@ -18,7 +34,9 @@ from homeowheel.mechanism import (
     gimbal_lock_risk,
     validate_state,
 )
-from homeowheel.rotations import quat_to_matrix
+from homeowheel.rotations import IDENTITY_QUATERNION, quat_to_matrix
+from homeowheel.scaling import ScalingModel, scale
+from homeowheel.tegument import IntegrityViolation, TwistLedger
 
 
 def mat_x(deg):
@@ -237,3 +255,83 @@ class TestGeometryAndLimits:
         assert DEFAULT_LIMITS.s1_range == (0.0, 360.0)
         assert DEFAULT_LIMITS.s2_range == (-90.0, 90.0)
         assert DEFAULT_LIMITS.s3_range == (-90.0, 90.0)
+
+
+# One instance of every record type in the package.
+_MOTION = analyse(build_rotate_wheel_2n(1))
+_POSES = forward_kinematics(DEFAULT_GEOMETRY, HOME_STATE)
+RECORDS = [
+    ServoState(1.0, 2.0, 3.0), DEFAULT_LIMITS, DEFAULT_GEOMETRY, _POSES, _POSES.wrist,
+    RangeViolation("servo1", 361.0, 0.0, 360.0), Waypoint(0.5, HOME_STATE),
+    _MOTION.trajectory, TraceSample(0.0, HOME_STATE, 0.0, 0.0, False, 0),
+    TraceEvent(0.0, "GimbalLockRisk", "segment 0"), SimTrace((), ()), _MOTION,
+    EmptyTrajectory(), TimeOrderViolation(1, 0.0),
+    WaypointRangeViolation(0, "servo1", 361.0, 0.0, 360.0), RateViolation(0, "servo1", 1e3, 360.0),
+    DisengagedShaftMotion(0, 0.0, 1.0, 90.0), IDENTITY_QUATERNION, ScalingModel(),
+    scale(ScalingModel(), 0.5), TwistLedger(), IntegrityViolation(0.0, "seg_wrist", 91.0),
+    _MOTION.integrity,
+]
+
+
+class TestRecords:
+    def test_every_record_type_is_covered(self):
+        modules = (executor, mechanism, rotations, scaling, tegument)
+        defined = {obj for module in modules for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")}
+        assert {type(r) for r in RECORDS} == defined
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_are_read_only(self, record):
+        for name in record._fields + ("not_a_field",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.0)
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_equal_only_to_the_same_type_and_hashed_alike(self, record):
+        copy = type(record)(*record)
+        assert copy == record and not copy != record and hash(copy) == hash(record)
+        assert record != tuple(record) and tuple(record) != record
+        assert not record == tuple(record) and not tuple(record) == record
+        for other in RECORDS:
+            if type(other) is not type(record):
+                assert record != other and not record == other
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_truthy_even_without_fields(self, record):
+        assert bool(record) is True
+
+    def test_equal_fields_of_another_type_are_not_equal(self):
+        ledger, state = TwistLedger(0.0, 0.0, 0.0), ServoState(0.0, 0.0, 0.0)
+        assert ledger != state and state != ledger and not ledger == state
+        assert len({ledger, state, (0.0, 0.0, 0.0)}) == 3
+
+    @pytest.mark.parametrize("record, text", [
+        (ServoState(1.0, 2.0, 3.0), "ServoState(s1=1.0, s2=2.0, s3=3.0)"),
+        (EmptyTrajectory(), "EmptyTrajectory()"),
+        (Waypoint(0.5, HOME_STATE), "Waypoint(t=0.5, state=ServoState(s1=0.0, s2=0.0, s3=0.0))"),
+        (DEFAULT_LIMITS, "ServoLimits(s1_range=(0.0, 360.0), s2_range=(-90.0, 90.0), "
+                         "s3_range=(-90.0, 90.0), s1_max_rate=360.0, s2_max_rate=360.0, "
+                         "s3_max_rate=360.0)"),
+    ])
+    def test_repr(self, record, text):
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ServoLimits(s2_range=(90.0, -90.0)),
+         "s2_range must have finite min < max, got (90.0, -90.0)"),
+        (lambda: ServoLimits((0.0, 360.0), (1.0, 1.0)),
+         "s2_range must have finite min < max, got (1.0, 1.0)"),
+        (lambda: ServoLimits(s3_max_rate=0.0), "s3_max_rate must be positive and finite"),
+        (lambda: DEFAULT_LIMITS._replace(s1_range=(math.nan, 1.0)),
+         "s1_range must have finite min < max, got (nan, 1.0)"),
+        (lambda: MechanismGeometry(wheel_radius=0.0), "wheel_radius must be in (0, inf), got 0.0"),
+        (lambda: MechanismGeometry(0.1, -1.0), "gantry_offset must be non-negative and finite"),
+        (lambda: MechanismGeometry(lower_link_length=math.inf),
+         "lower_link_length must be non-negative and finite"),
+        (lambda: ScalingModel(mass_ref=0.0), "mass_ref must be positive and finite, got 0.0"),
+        (lambda: ScalingModel(1.0, 1.0, math.nan), "force_ref must be positive and finite, got nan"),
+    ])
+    def test_validating_records_reject_bad_fields(self, make, message):
+        with pytest.raises(InvalidParameter) as excinfo:
+            make()
+        assert str(excinfo.value) == message

@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from homeowheel.cli import run
@@ -65,15 +65,24 @@ def limits(draw):
     return ServoLimits(span(), span(), span(), draw(rate), draw(rate), draw(rate))
 
 
+# Limits that admit every angle and rate the strategies draw, so that some
+# trajectories pass the lenient policy.
+WIDE_LIMITS = ServoLimits((-400.0, 400.0), (-400.0, 400.0), (-400.0, 400.0),
+                          4000.0, 4000.0, 4000.0)
+
+
 @st.composite
 def trajectories(draw):
+    """Waypoints on the grid under random limits, which they almost always
+    leave, or under :data:`WIDE_LIMITS`, which they always keep."""
     n = draw(st.integers(1, 8))
     t = 0.0
     waypoints = []
     for _ in range(n):
         waypoints.append(Waypoint(t, ServoState(draw(grid), draw(joint), draw(joint))))
         t += draw(st.integers(0, 8)) / 4.0
-    return Trajectory(limits=draw(limits()), waypoints=tuple(waypoints))
+    return Trajectory(limits=draw(st.one_of(limits(), st.just(WIDE_LIMITS))),
+                      waypoints=tuple(waypoints))
 
 
 @settings(max_examples=300, deadline=None)
@@ -83,6 +92,7 @@ def test_lenient_clean_trajectories_pass_the_integrity_certificate(trajectory, e
     motion = analyse(trajectory, check=False, engage_tol=engage_tol, gimbal_tol=gimbal_tol)
     violations = validate_trajectory(trajectory, policy=Policy.LENIENT)
     if not violations:
+        event("lenient-clean")
         assert motion.integrity.ok
     out_of_range = any(isinstance(v, WaypointRangeViolation) for v in violations)
     assert motion.integrity.ok == (not out_of_range)
@@ -213,12 +223,6 @@ def reference_validate_trajectory(trajectory: Trajectory, policy: Policy = Polic
             if d_s1 != 0.0 and segment_drive(a.state, b.state, engage_tol) == 0:
                 violations.append(DisengagedShaftMotion(i, a.t, b.t, d_s1))
     return violations
-
-
-# Limits that admit every angle and rate the strategies draw, so that some
-# trajectories pass the lenient policy.
-WIDE_LIMITS = ServoLimits((-400.0, 400.0), (-400.0, 400.0), (-400.0, 400.0),
-                          4000.0, 4000.0, 4000.0)
 
 
 @settings(max_examples=300, deadline=None)

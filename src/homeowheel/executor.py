@@ -12,8 +12,10 @@ exact (720 deg per loop iteration) and makes every result independent of any
 sample rate. While disengaged the wheel is held, not freewheeling: the
 reconfiguration steps must not move it or the whole bookkeeping collapses.
 Dense samples exist only for the trace export: one sampling loop yields
-plain rows, which :func:`write_trace_file` streams to disk in chunks and
-:func:`simulate` wraps into :class:`TraceSample` objects.
+each segment's waypoint row and then its inner rows in column blocks, where
+a column the segment holds still is one value. :func:`write_trace_file`
+formats those constant columns once per block and streams the rows to disk;
+:func:`simulate` expands the blocks into :class:`TraceSample` objects.
 
 File formats (versioned, deterministic byte output):
 
@@ -34,7 +36,7 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from itertools import chain, repeat
 from pathlib import Path
 
 from .errors import InvalidParameter, TrajectoryParseError, ValidationFailure
@@ -83,9 +85,9 @@ MAX_PLAN_SWEEPS = 100_000
 #: size of the largest plan.
 MAX_WAYPOINTS = 300_000
 #: Most rows of the trace export (13x the 150,201 of ``simulate --n 500`` at
-#: 50 Hz). :func:`write_trace_file` streams them in O(segments) memory, about
-#: 41 bytes of file per row (about 83 MB at the cap); :func:`simulate` holds
-#: them all.
+#: 50 Hz). :func:`write_trace_file` streams them in column blocks of at most
+#: ``_CHUNK_ROWS`` rows, in O(segments) memory, about 41 bytes of file per row
+#: (about 83 MB at the cap); :func:`simulate` holds them all.
 MAX_TRACE_SAMPLES = 2_000_000
 
 
@@ -264,14 +266,18 @@ def build_rotate_wheel_2n(n: int, segment_duration: float = 1.0,
     sweeps the shaft back down (wheel +360 again), and swaps back; finally
     return s3 and s2 to rest. One waypoint per servo move, in that exact
     order: 6n + 4 segments, ending at the home state with every twist back
-    at zero. More than :data:`MAX_WAYPOINTS` waypoints, or limits that exclude
-    the driving configurations or s1 = 0 or 360, raise InvalidParameter.
+    at zero. Each move takes ``segment_duration``, stretched where a servo
+    would exceed its rate limit (1 s each under the default limits). More
+    than :data:`MAX_WAYPOINTS` waypoints, or limits that exclude the driving
+    configurations or s1 = 0 or 360, raise InvalidParameter.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidParameter(f"n must be a positive integer, got {n!r}")
     if 6 * n + 5 > MAX_WAYPOINTS:
         raise InvalidParameter(f"n={n} needs {6 * n + 5} waypoints, "
                                f"more than MAX_WAYPOINTS ({MAX_WAYPOINTS})")
+    if not (math.isfinite(segment_duration) and segment_duration > 0.0):
+        raise InvalidParameter(f"segment_duration must be positive, got {segment_duration!r}")
     check_reachable(limits, full_sweep=True)
     states = [
         ServoState(0.0, 0.0, 0.0),
@@ -291,7 +297,12 @@ def build_rotate_wheel_2n(n: int, segment_duration: float = 1.0,
         ServoState(0.0, 90.0, 0.0),
         ServoState(0.0, 0.0, 0.0),
     ]
-    return Trajectory.from_states(states, segment_duration, geometry, limits)
+    t = 0.0
+    waypoints = [Waypoint(t, states[0])]
+    for prev, state in zip(states, states[1:]):
+        t += max(segment_duration, limits.move_time(prev, state))
+        waypoints.append(Waypoint(t, state))
+    return Trajectory(geometry, limits, waypoints)
 
 
 # --------------------------------------------------------------------------
@@ -441,31 +452,58 @@ def _sample_counts(trajectory: Trajectory, sample_rate: float) -> list[int]:
     return counts
 
 
-def _trace_rows(motion: Motion, counts: list[int]) -> Iterator[tuple]:
-    """The trace rows ``(t, s1, s2, s3, theta_wheel_deg, x_m, engaged,
-    event_flags)``, ``counts[i]`` of them on segment i, then the last
-    waypoint's. The one sampling loop behind :func:`simulate` and
-    :func:`write_trace_file`."""
+def _trace_blocks(motion: Motion, counts: list[int]) -> Iterator[tuple]:
+    """The trace of ``motion``, ``counts[i]`` rows on segment i, then the last
+    waypoint's row. The one sampling loop behind :func:`simulate` and
+    :func:`write_trace_file`.
+
+    Each segment gives its waypoint row ``(t, s1, s2, s3, theta_wheel_deg,
+    x_m, engaged, event_flags)``, then its inner rows in column blocks of at
+    most ``_CHUNK_ROWS`` rows: the same eight columns, each a list holding
+    the column's value on every row of the block, or one value shared by all
+    of them where the column is constant over the segment. The ``t`` column
+    of a block is always a list, which tells a block from a row. Constant
+    columns hold the value the varying expression gives, so a -0.0
+    servo angle reads -0.0 on its waypoint row and 0.0 on the inner rows.
+    """
     trajectory, engage_tol = motion.trajectory, motion.engage_tol
     radius = trajectory.geometry.wheel_radius
+    radians = math.radians
     for (i, a, b), subdivisions in zip(trajectory.segments(), counts):
         t0, a1, a2, a3 = a.t, a.state.s1, a.state.s2, a.state.s3
         seg_dt = b.t - t0
         d_s1, d_s2, d_s3 = b.state.s1 - a1, b.state.s2 - a2, b.state.s3 - a3
         drive, flags, theta = motion.drives[i], motion.flags[i], motion.theta_deg[i]
         driving = drive != 0
-        yield (t0, a1, a2, a3, theta, radius * math.radians(theta),
+        yield (t0, a1, a2, a3, theta, radius * radians(theta),
                engaged(a.state, engage_tol), flags)
-        for j in range(1, subdivisions):
-            alpha = j / subdivisions
-            s1 = a1 + d_s1 * alpha
-            theta_now = theta + drive * (s1 - a1) if drive else theta
-            yield (t0 + seg_dt * alpha, s1, a2 + d_s2 * alpha, a3 + d_s3 * alpha,
-                   theta_now, radius * math.radians(theta_now), driving, flags)
+        for first in range(1, subdivisions, _CHUNK_ROWS):
+            alphas = [j / subdivisions
+                      for j in range(first, min(first + _CHUNK_ROWS, subdivisions))]
+            # delta * alpha is a zero of delta's sign for every alpha > 0.
+            s1 = [a1 + d_s1 * alpha for alpha in alphas] if d_s1 else a1 + d_s1
+            if drive and d_s1:
+                theta_now = [theta + drive * (s - a1) for s in s1]
+                x = [radius * radians(th) for th in theta_now]
+            else:  # theta + drive * 0.0 is theta, which is never -0.0
+                theta_now, x = theta, radius * radians(theta)
+            yield ([t0 + seg_dt * alpha for alpha in alphas], s1,
+                   [a2 + d_s2 * alpha for alpha in alphas] if d_s2 else a2 + d_s2,
+                   [a3 + d_s3 * alpha for alpha in alphas] if d_s3 else a3 + d_s3,
+                   theta_now, x, driving, flags)
     last = trajectory.waypoints[-1]
     yield (last.t, last.state.s1, last.state.s2, last.state.s3, motion.final_theta_deg,
            motion.final_x_m, engaged(last.state, engage_tol),
            motion.flags[-1] if motion.flags else 0)
+
+
+def _block_rows(block: tuple) -> Iterable[tuple]:
+    """The rows of one item of :func:`_trace_blocks`: a waypoint row as it
+    is, a block expanded with its constant columns repeated."""
+    if type(block[0]) is not list:
+        return (block,)
+    n = len(block[0])
+    return zip(*(column if type(column) is list else repeat(column, n) for column in block))
 
 
 def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
@@ -486,9 +524,9 @@ def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
     """
     counts = _sample_counts(trajectory, sample_rate)
     motion = analyse(trajectory, check=check, engage_tol=engage_tol, gimbal_tol=gimbal_tol)
+    rows = chain.from_iterable(map(_block_rows, _trace_blocks(motion, counts)))
     samples = tuple(TraceSample(t, ServoState(s1, s2, s3), theta, x, is_engaged, flags)
-                    for t, s1, s2, s3, theta, x, is_engaged, flags
-                    in _trace_rows(motion, counts))
+                    for t, s1, s2, s3, theta, x, is_engaged, flags in rows)
     return SimTrace(samples, motion.events)
 
 
@@ -514,11 +552,23 @@ def _header(geometry: MechanismGeometry, limits: ServoLimits) -> dict:
     }
 
 
+# One waypoint of the trajectory file as ``json.dumps(..., indent=2)`` lays it
+# out, for finite floats, which json writes as their repr.
+_WAYPOINT_JSON = '\n    {\n      "t": %r,\n      "s1": %r,\n      "s2": %r,\n      "s3": %r\n    }'
+
+
 def trajectory_to_json(trajectory: Trajectory) -> str:
-    """Serialize to the versioned trajectory file format (deterministic bytes)."""
+    """Serialize to the versioned trajectory file format (deterministic bytes):
+    ``json.dumps`` of the header and the waypoints with ``indent=2``."""
     doc = _header(trajectory.geometry, trajectory.limits)
-    doc["waypoints"] = [{"t": wp.t, "s1": wp.state.s1, "s2": wp.state.s2, "s3": wp.state.s3}
-                        for wp in trajectory.waypoints]
+    rows = [(t, *state) for t, state in trajectory.waypoints]
+    values = list(chain.from_iterable(rows))
+    if rows and set(map(type, values)) == {float} and all(map(math.isfinite, values)):
+        frame = json.dumps(doc, indent=2)
+        return (frame[:-2] + ',\n  "waypoints": ['
+                + ",".join(map(_WAYPOINT_JSON.__mod__, rows)) + "\n  ]\n}\n")
+    # json writes ints, bools and non-finite floats in its own way.
+    doc["waypoints"] = [{"t": t, "s1": s1, "s2": s2, "s3": s3} for t, s1, s2, s3 in rows]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -639,7 +689,8 @@ def read_trajectory_file(path) -> Trajectory:
 
 TRACE_HEADER = "t,s1,s2,s3,theta_wheel_deg,x_m,engaged,event_flags"
 _TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%d\n"
-# Rows per write() in write_trace_file: its memory is one chunk, its calls few.
+# Most inner rows in one column block of _trace_blocks: the memory of a trace
+# export is one block, and it makes about two write() calls per segment.
 _CHUNK_ROWS = 4096
 
 
@@ -652,13 +703,20 @@ def trace_to_csv(trace: SimTrace) -> str:
 
 def write_trace_file(motion: Motion, path, sample_rate: float = 50.0) -> None:
     """Write the trace of ``motion`` at ``sample_rate``, the bytes of
-    ``trace_to_csv(simulate(...))``, streaming rows to the file in chunks:
-    memory stays O(segments) at any sample count. The sample count is
-    checked before the file is opened, so a rejected trace leaves ``path``
-    untouched."""
+    ``trace_to_csv(simulate(...))``, streaming it to the file a column block
+    at a time: memory stays O(segments) at any sample count. Each block's
+    constant columns are formatted once, into the row template of the block.
+    The sample count is checked before the file is opened, so a rejected
+    trace leaves ``path`` untouched."""
     counts = _sample_counts(motion.trajectory, sample_rate)
-    rows = _trace_rows(motion, counts)
+    blocks = _trace_blocks(motion, counts)
     with Path(path).open("w", encoding="utf-8") as out:
         out.write(TRACE_HEADER + "\n")
-        while chunk := "".join(map(_TRACE_ROW.__mod__, islice(rows, _CHUNK_ROWS))):
-            out.write(chunk)
+        for block in blocks:
+            if type(block[0]) is not list:
+                out.write(_TRACE_ROW % block)
+                continue
+            varying = [column for column in block if type(column) is list]
+            template = ",".join(["%.9g" if type(column) is list else "%.9g" % column
+                                 for column in block[:6]]) + ",%d,%d\n" % block[6:]
+            out.write("".join(map(template.__mod__, zip(*varying))))

@@ -88,6 +88,12 @@ class ServoLimits(record("ServoLimits",
     def rate_of(self, servo: str) -> float:
         return getattr(self, f"{servo}_max_rate")
 
+    def move_time(self, a: ServoState, b: ServoState) -> float:
+        """Least time in which a linear move from ``a`` to ``b`` keeps every
+        servo within its rate limit."""
+        return max(abs(b.s1 - a.s1) / self.s1_max_rate, abs(b.s2 - a.s2) / self.s2_max_rate,
+                   abs(b.s3 - a.s3) / self.s3_max_rate)
+
 
 DEFAULT_LIMITS = ServoLimits()
 

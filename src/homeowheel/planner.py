@@ -58,13 +58,7 @@ class _Builder:
                          prev.s3 if s3 is None else s3)
         if new == prev:
             return
-        duration = self.segment_duration
-        for servo, delta in (("s1", new.s1 - prev.s1), ("s2", new.s2 - prev.s2),
-                             ("s3", new.s3 - prev.s3)):
-            needed = abs(delta) / self.limits.rate_of(servo)
-            if needed > duration:
-                duration = needed
-        self.t += duration
+        self.t += max(self.segment_duration, self.limits.move_time(prev, new))
         self.waypoints.append(Waypoint(self.t, new))
 
 

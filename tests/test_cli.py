@@ -56,7 +56,7 @@ class TestSimulateCommand:
         # is checked before any row is made.
         assert 10 * 10 ** 9 + 1 > MAX_TRACE_SAMPLES
         forbid(executor, "analyse")
-        forbid(executor, "_trace_rows")
+        forbid(executor, "_trace_blocks")
         out = tmp_path / "x.csv"
         code, stdout, stderr = invoke(capsys, "simulate", "--n", "1",
                                       "--sample-rate-hz", "1e9", "--out", str(out))
@@ -322,6 +322,20 @@ class TestConfigAndDeterminism:
                                  "--config", str(config), "--radius-m", "1.0")
         assert code == 0
         assert "x_m=12.566370614" in stdout
+
+    def test_config_rate_limits_stretch_the_routine(self, capsys, tmp_path):
+        # 180 deg gantry swaps at 90 deg/s take 2 s, the routine's other
+        # moves keep their 1 s, and the trajectory validates like a gait's.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_rates_deg_per_s": {"s2": 90}}))
+        traj = tmp_path / "routine.json"
+        code, stdout, _ = invoke(capsys, "simulate", "--n", "2", "--config", str(config),
+                                 "--out-traj", str(traj))
+        assert code == 0
+        assert "violations=0" in stdout and "RateViolation" not in stdout
+        assert "theta_wheel_deg=1440.000000000" in stdout
+        times = [wp.t for wp in read_trajectory_file(traj).waypoints]
+        assert [b - a for a, b in zip(times, times[1:])] == [1, 1, *[1, 1, 2, 1, 1, 2] * 2, 1, 1]
 
     def test_bad_config_is_a_usage_error(self, capsys, tmp_path):
         config = tmp_path / "config.json"

@@ -578,22 +578,35 @@ class TestTraceExport:
         path = tmp_path / "trace.csv"
         path.write_text("kept\n")
         motion = analyse(build_rotate_wheel_2n(1))
-        forbid(executor, "_trace_rows")
+        forbid(executor, "_trace_blocks")
         for rate in (0.0, -1.0, math.inf, math.nan, 1e9):
             with pytest.raises(InvalidParameter):
                 write_trace_file(motion, path, rate)
         assert path.read_text() == "kept\n"
 
-    def test_writing_streams_in_bounded_memory(self, tmp_path):
-        # 30,201 rows: building them all, or the whole CSV text, took
-        # about 13 MB; streaming keeps one chunk of rows alive.
-        motion = analyse(build_rotate_wheel_2n(100))
-        path = tmp_path / "trace.csv"
+    @staticmethod
+    def peak_writing(motion, path) -> int:
         tracemalloc.start()
         try:
             write_trace_file(motion, path, 50.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak
+
+    def test_writing_streams_in_bounded_memory(self, tmp_path):
+        # 30,201 rows: building them all, or the whole CSV text, took
+        # about 13 MB; streaming keeps one block of rows alive.
+        path = tmp_path / "trace.csv"
+        peak = self.peak_writing(analyse(build_rotate_wheel_2n(100)), path)
         assert path.read_bytes().count(b"\n") == 30_201 + 1
+        assert peak < 2 * 1024 * 1024
+
+    def test_one_long_segment_streams_in_bounded_memory(self, tmp_path):
+        # One engaged 4,000 s sweep: 200,001 rows with the shaft, wheel angle
+        # and x_m varying; a block as long as the segment would take 25 MB.
+        trajectory = make_trajectory([(0, 90, -90), (360, 90, -90)], duration=4000.0)
+        path = tmp_path / "trace.csv"
+        peak = self.peak_writing(analyse(trajectory), path)
+        assert path.read_bytes().count(b"\n") == 200_001 + 1
         assert peak < 2 * 1024 * 1024

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,16 @@ from hypothesis import strategies as st
 from homeowheel.cli import run
 from homeowheel.errors import TrajectoryParseError, ValidationFailure
 from homeowheel.executor import (
+    _CHUNK_ROWS,
     _RATE_GUARD,
+    _TRACE_ROW,
+    _header,
+    _sample_counts,
     FLAG_GIMBAL_LOCK_RISK,
+    TRACE_HEADER,
     DisengagedShaftMotion,
     EmptyTrajectory,
+    Motion,
     Policy,
     RateViolation,
     TimeOrderViolation,
@@ -42,6 +49,7 @@ from homeowheel.mechanism import (
     MechanismGeometry,
     ServoLimits,
     ServoState,
+    engaged,
     validate_state,
 )
 from homeowheel.planner import count_engaged_sweeps, generate_gait, plan_rotation
@@ -169,6 +177,36 @@ def test_trajectory_files_round_trip(trajectory, geometry):
     assert parse_config(text) == (trajectory.geometry, trajectory.limits)
 
 
+# Finite floats, with the edges of their text forms, and values json writes
+# unlike repr: ints and bools (true where repr writes True) and non-finite
+# floats (Infinity where repr writes inf).
+json_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308]))
+json_odd_values = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+                            st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def json_waypoints(draw):
+    rows = draw(st.lists(st.lists(json_floats, min_size=4, max_size=4), max_size=6))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 3))] = draw(json_odd_values)
+    return tuple(Waypoint(t, ServoState(s1, s2, s3)) for t, s1, s2, s3 in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_waypoints(), geometries())
+def test_trajectory_writer_is_json_dumps(waypoints, geometry):
+    trajectory = Trajectory(geometry, WIDE_LIMITS, waypoints)
+    doc = _header(geometry, WIDE_LIMITS)
+    doc["waypoints"] = [{"t": wp.t, "s1": wp.state.s1, "s2": wp.state.s2, "s3": wp.state.s3}
+                        for wp in waypoints]
+    finite = all(type(v) is float and math.isfinite(v)
+                 for wp in waypoints for v in (wp.t, *wp.state))
+    event("template" if waypoints and finite else "json fallback")
+    assert trajectory_to_json(trajectory) == json.dumps(doc, indent=2) + "\n"
+
+
 @st.composite
 def unchecked_trajectories(draw):
     """:func:`trajectories` with some angles replaced by -0.0 and some times
@@ -183,17 +221,69 @@ def unchecked_trajectories(draw):
     return Trajectory(draw(geometries()), trajectory.limits, tuple(waypoints))
 
 
+def reference_trace_rows(motion: Motion, counts: list[int]) -> Iterator[tuple]:
+    """The row-at-a-time sampling loop that the column blocks replaced, kept
+    as the reference: every row of every segment from the same float
+    expressions, ``counts[i]`` on segment i, then the last waypoint's."""
+    trajectory, engage_tol = motion.trajectory, motion.engage_tol
+    radius = trajectory.geometry.wheel_radius
+    for (i, a, b), subdivisions in zip(trajectory.segments(), counts):
+        t0, a1, a2, a3 = a.t, a.state.s1, a.state.s2, a.state.s3
+        seg_dt = b.t - t0
+        d_s1, d_s2, d_s3 = b.state.s1 - a1, b.state.s2 - a2, b.state.s3 - a3
+        drive, flags, theta = motion.drives[i], motion.flags[i], motion.theta_deg[i]
+        driving = drive != 0
+        yield (t0, a1, a2, a3, theta, radius * math.radians(theta),
+               engaged(a.state, engage_tol), flags)
+        for j in range(1, subdivisions):
+            alpha = j / subdivisions
+            s1 = a1 + d_s1 * alpha
+            theta_now = theta + drive * (s1 - a1) if drive else theta
+            yield (t0 + seg_dt * alpha, s1, a2 + d_s2 * alpha, a3 + d_s3 * alpha,
+                   theta_now, radius * math.radians(theta_now), driving, flags)
+    last = trajectory.waypoints[-1]
+    yield (last.t, last.state.s1, last.state.s2, last.state.s3, motion.final_theta_deg,
+           motion.final_x_m, engaged(last.state, engage_tol),
+           motion.flags[-1] if motion.flags else 0)
+
+
+def reference_trace_csv(motion: Motion, sample_rate: float) -> bytes:
+    rows = reference_trace_rows(motion, _sample_counts(motion.trajectory, sample_rate))
+    return (TRACE_HEADER + "\n" + "".join(_TRACE_ROW % row for row in rows)).encode("utf-8")
+
+
 @settings(max_examples=200, deadline=None)
 @given(unchecked_trajectories(),
        st.one_of(sample_rates, st.floats(min_value=0.01, max_value=200.0)),
        st.one_of(st.just(ENGAGE_TOL), tolerances))
 def test_streamed_trace_file_is_the_simulated_trace(trajectory, rate, engage_tol):
+    # Both consumers of the one sampling loop, and the row-at-a-time reference.
+    motion = analyse(trajectory, check=False, engage_tol=engage_tol)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
-        write_trace_file(analyse(trajectory, check=False, engage_tol=engage_tol), path, rate)
+        write_trace_file(motion, path, rate)
         written = path.read_bytes()
+    assert written == reference_trace_csv(motion, rate)
     trace = simulate(trajectory, rate, check=False, engage_tol=engage_tol)
     assert written == trace_to_csv(trace).encode("utf-8")
+
+
+def test_long_segment_with_negative_zero_columns_matches_the_reference(tmp_path):
+    # 5,000 rows on one segment, more than one block; s1 and s3 hold -0.0,
+    # which the waypoint row prints as -0 and the inner rows as 0.
+    trajectory = Trajectory(waypoints=(Waypoint(0.0, ServoState(-0.0, 0.0, -0.0)),
+                                       Waypoint(100.0, ServoState(-0.0, 90.0, -0.0))))
+    motion = analyse(trajectory, check=False)
+    assert 5000 > _CHUNK_ROWS
+    path = tmp_path / "trace.csv"
+    write_trace_file(motion, path, 50.0)
+    written = path.read_bytes()
+    assert written == reference_trace_csv(motion, 50.0)
+    lines = written.decode().splitlines()
+    assert len(lines) == 1 + 5000 + 1
+    assert lines[1] == "0,-0,0,-0,0,0,0,0"
+    assert lines[2] == "0.02,0,0.018,0,0,0,0,0"
+    assert lines[-1] == "100,-0,90,-0,0,0,0,0"
 
 
 def reference_validate_trajectory(trajectory: Trajectory, policy: Policy = Policy.STRICT,

@@ -26,7 +26,6 @@ from .executor import (
     read_trajectory_file,
     segment_drive,
     simulate,
-    trace_to_csv,
     trajectory_to_json,
     validate_trajectory,
     write_trace_file,
@@ -57,28 +56,22 @@ from .planner import (
 from .rotations import (
     IDENTITY_QUATERNION,
     UnitQuaternion,
-    is_rotation_matrix,
     quat_compose,
     quat_conjugate,
     quat_from_axis_angle,
     quat_rotate,
-    quat_to_matrix,
     rot_x,
-    rot_y,
     rot_z,
     unwrap_angle,
-    wrap_degrees,
 )
 from .scaling import ScalingModel, ScaledQuantities, cost_of_transport, scale
 from .tegument import (
     IntegrityReport,
     IntegrityViolation,
     TwistLedger,
-    ZERO_LEDGER,
     check_integrity,
     ledger_from_state,
     ledger_history,
-    update_ledger,
 )
 
 __version__ = "0.1.0"

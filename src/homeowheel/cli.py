@@ -92,13 +92,18 @@ def _resolve_setup(args) -> tuple[MechanismGeometry, ServoLimits]:
         raise InvalidParameter(f"invalid config {args.config!r}: {exc}") from exc
 
 
+def _print_twist_maxima(report) -> None:
+    body_gantry, shaft_axial, wrist = report.max_abs_twist
+    print(f"max_twist_body_gantry_deg={_fmt(body_gantry)}")
+    print(f"max_twist_shaft_axial_deg={_fmt(shaft_axial)}")
+    print(f"max_twist_wrist_deg={_fmt(wrist)}")
+
+
 def _print_motion_summary(motion) -> None:
     report = motion.integrity
     print(f"theta_wheel_deg={_fmt(motion.final_theta_deg)}")
     print(f"x_m={_fmt(motion.final_x_m)}")
-    print(f"max_twist_body_gantry_deg={_fmt(report.max_abs_twist[0])}")
-    print(f"max_twist_shaft_axial_deg={_fmt(report.max_abs_twist[1])}")
-    print(f"max_twist_wrist_deg={_fmt(report.max_abs_twist[2])}")
+    _print_twist_maxima(report)
     print(f"integrity_ok={int(report.ok)}")
     print(f"events={len(motion.events)}")
 
@@ -160,9 +165,7 @@ def cmd_check(args) -> int:
     print(f"integrity_ok={int(report.ok)}")
     for issue in report.violations:
         print(f"integrity_violation={issue}")
-    print(f"max_twist_body_gantry_deg={_fmt(report.max_abs_twist[0])}")
-    print(f"max_twist_shaft_axial_deg={_fmt(report.max_abs_twist[1])}")
-    print(f"max_twist_wrist_deg={_fmt(report.max_abs_twist[2])}")
+    _print_twist_maxima(report)
     print(f"theta_wheel_deg={_fmt(motion.final_theta_deg)}")
     print(f"events={len(motion.events)}")
     for event in motion.events:

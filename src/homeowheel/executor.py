@@ -24,6 +24,7 @@ File formats (versioned, deterministic byte output):
   ``{t, s1, s2, s3}`` objects. Angles in degrees, time in seconds, exact
   decimal text, every number finite.
 * Config (:func:`parse_config`): any subset of the header keys, same parser.
+  A key outside the format is an error in either.
 * Trace export: comma-delimited text, one row per sample
   ``t,s1,s2,s3,theta_wheel_deg,x_m,engaged,event_flags`` with a mandatory
   header row and values printed to 9 significant digits.
@@ -43,7 +44,6 @@ from .errors import InvalidParameter, TrajectoryParseError, ValidationFailure
 from .mechanism import (
     DEFAULT_GEOMETRY,
     DEFAULT_LIMITS,
-    ENGAGE_TOL,
     GIMBAL_TOL,
     MechanismGeometry,
     ServoLimits,
@@ -167,17 +167,15 @@ class SimTrace(record("SimTrace", "samples events")):
 
 
 class Motion(record("Motion", "trajectory theta_deg drives flags events integrity "
-                    "engage_tol violations", defaults=(ENGAGE_TOL, ()))):
+                    "violations", defaults=((),))):
     """What a trajectory does, computed once per segment from its waypoints.
 
     ``theta_deg[k]`` is the wheel angle at waypoint k (0 at the first);
     ``drives[i]`` and ``flags[i]`` are segment i's wheel coupling (see
     :func:`segment_drive`) and event flags. ``integrity`` certifies the
-    twist of every tegument segment over the whole path. ``engage_tol`` is
-    the clutch tolerance the drives were computed with, which the trace
-    export also uses for the ``engaged`` column. ``violations`` are the
-    trajectory's constraint violations under the policy it was analysed with.
-    The sequences are tuples.
+    twist of every tegument segment over the whole path. ``violations`` are
+    the trajectory's constraint violations under the policy it was analysed
+    with. The sequences are tuples.
     """
 
     __slots__ = ()
@@ -243,15 +241,15 @@ Violation = (EmptyTrajectory | TimeOrderViolation | WaypointRangeViolation
 # Construction
 
 
-def segment_drive(start: ServoState, end: ServoState, tol: float = ENGAGE_TOL) -> int:
+def segment_drive(start: ServoState, end: ServoState) -> int:
     """Wheel coupling over a linear segment: the common drive sign of both
     endpoints, or 0.
 
     Endpoints engaged in opposite configurations also yield 0: the clutch
     opens mid-segment, so any shaft motion there leaves the wheel held.
     """
-    sign = drive_sign(start, tol)
-    if sign != 0 and sign == drive_sign(end, tol):
+    sign = drive_sign(start)
+    if sign != 0 and sign == drive_sign(end):
         return sign
     return 0
 
@@ -309,34 +307,34 @@ def build_rotate_wheel_2n(n: int, segment_duration: float = 1.0,
 # Simulation
 
 
-def _gimbal_entry(a: ServoState, b: ServoState, tol: float) -> float | None:
+def _gimbal_entry(a: ServoState, b: ServoState) -> float | None:
     """First alpha in [0, 1] at which the linear (s2, s3) path from ``a`` to
-    ``b`` lies within ``tol`` of (0, 0) in both servos, or None if it never
-    does: the intersection of the two servos' alpha-intervals."""
+    ``b`` lies within :data:`GIMBAL_TOL` of (0, 0) in both servos, or None if
+    it never does: the intersection of the two servos' alpha-intervals."""
     lo, hi = 0.0, 1.0
     for start, delta in ((a.s2, b.s2 - a.s2), (a.s3, b.s3 - a.s3)):
         if delta == 0.0:
-            if not abs(start) <= tol:
+            if not abs(start) <= GIMBAL_TOL:
                 return None
             continue
-        enter, leave = (-tol - start) / delta, (tol - start) / delta
+        enter, leave = (-GIMBAL_TOL - start) / delta, (GIMBAL_TOL - start) / delta
         if delta < 0.0:
             enter, leave = leave, enter
         lo, hi = max(lo, enter), min(hi, leave)
     return lo if lo <= hi else None
 
 
-def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *, check: bool = True,
-            engage_tol: float = ENGAGE_TOL, gimbal_tol: float = GIMBAL_TOL) -> Motion:
+def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *,
+            check: bool = True) -> Motion:
     """Wheel angle, events, constraint violations and twist certificate of a
     trajectory, in one pass over its waypoints and one over its segments.
 
     Each segment turns the wheel by ``segment_drive * delta_s1``. Events
     record disengaged shaft motion and gimbal-lock risk (the shaft turning
-    while the segment's (s2, s3) line passes within ``gimbal_tol`` of (0, 0),
-    timed at the entry into that zone), one of each per offending segment,
-    and every out-of-range waypoint; they are ordered by time, then kind,
-    then waypoint, servo and segment. The twist certificate checks the
+    while the segment's (s2, s3) line passes within :data:`GIMBAL_TOL` of
+    (0, 0), timed at the entry into that zone), one of each per offending
+    segment, and every out-of-range waypoint; they are ordered by time, then
+    kind, then waypoint, servo and segment. The twist certificate checks the
     waypoints only: a linear path reaches its extremes there.
 
     ``violations`` lists every out-of-range waypoint servo, then per segment
@@ -378,7 +376,7 @@ def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *, check: bo
     for i, a, b in trajectory.segments():
         seg_dt = b.t - a.t
         d_s1 = b.state.s1 - a.state.s1
-        drive = segment_drive(a.state, b.state, engage_tol)
+        drive = segment_drive(a.state, b.state)
         disengaged = drive == 0 and d_s1 != 0.0
         seg_flags = FLAG_RANGE_VIOLATION if out_of_range[i] or out_of_range[i + 1] else 0
         if disengaged:
@@ -396,7 +394,7 @@ def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *, check: bo
             if strict and disengaged:
                 violations.append(DisengagedShaftMotion(i, a.t, b.t, d_s1))
         s1_rate = d_s1 / seg_dt if seg_dt > 0.0 else 0.0
-        entry = _gimbal_entry(a.state, b.state, gimbal_tol) if s1_rate != 0.0 else None
+        entry = _gimbal_entry(a.state, b.state) if s1_rate != 0.0 else None
         if entry is not None:
             seg_flags |= FLAG_GIMBAL_LOCK_RISK
             events.append(TraceEvent(
@@ -414,17 +412,17 @@ def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *, check: bo
     integrity = check_integrity([ledger_from_state(wp.state) for wp in waypoints],
                                 limits, [wp.t for wp in waypoints])
     return Motion(trajectory, tuple(theta), tuple(drives), tuple(flags), tuple(events),
-                  integrity, engage_tol, tuple(violations))
+                  integrity, tuple(violations))
 
 
-def validate_trajectory(trajectory: Trajectory, policy: Policy = Policy.STRICT,
-                        engage_tol: float = ENGAGE_TOL) -> list[Violation]:
+def validate_trajectory(trajectory: Trajectory,
+                        policy: Policy = Policy.STRICT) -> list[Violation]:
     """Every constraint violation of the trajectory under ``policy``: the
     ``violations`` of ``analyse(trajectory, policy, check=False)``, or
     ``[EmptyTrajectory()]`` when it has no waypoints."""
     if not trajectory.waypoints:
         return [EmptyTrajectory()]
-    return list(analyse(trajectory, policy, check=False, engage_tol=engage_tol).violations)
+    return list(analyse(trajectory, policy, check=False).violations)
 
 
 def _subdivisions(seg_dt: float, d_s1: float, sample_rate: float) -> int:
@@ -466,7 +464,7 @@ def _trace_blocks(motion: Motion, counts: list[int]) -> Iterator[tuple]:
     columns hold the value the varying expression gives, so a -0.0
     servo angle reads -0.0 on its waypoint row and 0.0 on the inner rows.
     """
-    trajectory, engage_tol = motion.trajectory, motion.engage_tol
+    trajectory = motion.trajectory
     radius = trajectory.geometry.wheel_radius
     radians = math.radians
     for (i, a, b), subdivisions in zip(trajectory.segments(), counts):
@@ -476,7 +474,7 @@ def _trace_blocks(motion: Motion, counts: list[int]) -> Iterator[tuple]:
         drive, flags, theta = motion.drives[i], motion.flags[i], motion.theta_deg[i]
         driving = drive != 0
         yield (t0, a1, a2, a3, theta, radius * radians(theta),
-               engaged(a.state, engage_tol), flags)
+               engaged(a.state), flags)
         for first in range(1, subdivisions, _CHUNK_ROWS):
             alphas = [j / subdivisions
                       for j in range(first, min(first + _CHUNK_ROWS, subdivisions))]
@@ -493,7 +491,7 @@ def _trace_blocks(motion: Motion, counts: list[int]) -> Iterator[tuple]:
                    theta_now, x, driving, flags)
     last = trajectory.waypoints[-1]
     yield (last.t, last.state.s1, last.state.s2, last.state.s3, motion.final_theta_deg,
-           motion.final_x_m, engaged(last.state, engage_tol),
+           motion.final_x_m, engaged(last.state),
            motion.flags[-1] if motion.flags else 0)
 
 
@@ -507,8 +505,7 @@ def _block_rows(block: tuple) -> Iterable[tuple]:
 
 
 def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
-             check: bool = True, engage_tol: float = ENGAGE_TOL,
-             gimbal_tol: float = GIMBAL_TOL) -> SimTrace:
+             check: bool = True) -> SimTrace:
     """:func:`analyse` the trajectory, then sample it for the trace export.
 
     Samples interpolate each segment linearly; results are exact at
@@ -516,14 +513,14 @@ def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
     radians at every sample. A sample carries its segment's event flags
     (the last sample those of the last segment), and is engaged at a
     waypoint iff that waypoint is, between waypoints iff its segment turns
-    the wheel. The keywords are those of :func:`analyse`.
+    the wheel. ``check`` is that of :func:`analyse`.
 
     The sample count is computed first; more than :data:`MAX_TRACE_SAMPLES`
     raise InvalidParameter. :func:`write_trace_file` streams the same rows
     to a file without building them here.
     """
     counts = _sample_counts(trajectory, sample_rate)
-    motion = analyse(trajectory, check=check, engage_tol=engage_tol, gimbal_tol=gimbal_tol)
+    motion = analyse(trajectory, check=check)
     rows = chain.from_iterable(map(_block_rows, _trace_blocks(motion, counts)))
     samples = tuple(TraceSample(t, ServoState(s1, s2, s3), theta, x, is_engaged, flags)
                     for t, s1, s2, s3, theta, x, is_engaged, flags in rows)
@@ -539,6 +536,9 @@ _GEOMETRY_KEYS = {"wheel_radius": "wheel_radius_m", "gantry_offset": "gantry_off
                   "upper_link_length": "upper_link_length_m",
                   "lower_link_length": "lower_link_length_m"}
 _SERVOS = ("s1", "s2", "s3")
+# Top-level keys of the trajectory file format; a config may hold any of them.
+_FORMAT_KEYS = frozenset(("format_version", *_GEOMETRY_KEYS.values(), "servo_ranges_deg",
+                          "max_rates_deg_per_s", "waypoints"))
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -615,6 +615,14 @@ def _require(obj: dict, key: str, kind, location: str):
     return value
 
 
+def _known_keys(obj: dict, keys, location: str) -> dict:
+    """``obj``, once every key of it is one of ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise TrajectoryParseError(f"unknown field {key!r}", location=f"{location}.{key}")
+    return obj
+
+
 def _pair(obj: dict, key: str, location: str) -> tuple[float, float]:
     value = _require(obj, key, list, location)
     if len(value) != 2:
@@ -624,12 +632,16 @@ def _pair(obj: dict, key: str, location: str) -> tuple[float, float]:
 
 
 def _parse_header(doc: dict, location: str) -> tuple[MechanismGeometry, ServoLimits]:
-    """Geometry and limits from the header keys of ``doc``, all required."""
+    """Geometry and limits from the header keys of ``doc``, all required.
+    A key outside the format, at the top level or per servo, is an error."""
+    _known_keys(doc, _FORMAT_KEYS, location)
     try:
         geometry = MechanismGeometry(**{field: _require(doc, key, float, location)
                                         for field, key in _GEOMETRY_KEYS.items()})
-        ranges = _require(doc, "servo_ranges_deg", dict, location)
-        rates = _require(doc, "max_rates_deg_per_s", dict, location)
+        ranges = _known_keys(_require(doc, "servo_ranges_deg", dict, location), _SERVOS,
+                             f"{location}.servo_ranges_deg")
+        rates = _known_keys(_require(doc, "max_rates_deg_per_s", dict, location), _SERVOS,
+                            f"{location}.max_rates_deg_per_s")
         limits = ServoLimits(
             *(_pair(ranges, s, f"{location}.servo_ranges_deg") for s in _SERVOS),
             *(_require(rates, s, float, f"{location}.max_rates_deg_per_s") for s in _SERVOS))
@@ -694,18 +706,12 @@ _TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%d\n"
 _CHUNK_ROWS = 4096
 
 
-def trace_to_csv(trace: SimTrace) -> str:
-    """Delimited trace text: mandatory header, 9 significant digits."""
-    return TRACE_HEADER + "\n" + "".join(
-        _TRACE_ROW % (s.t, s.state.s1, s.state.s2, s.state.s3, s.theta_wheel_deg, s.x_m,
-                      s.engaged, s.event_flags) for s in trace.samples)
-
-
 def write_trace_file(motion: Motion, path, sample_rate: float = 50.0) -> None:
-    """Write the trace of ``motion`` at ``sample_rate``, the bytes of
-    ``trace_to_csv(simulate(...))``, streaming it to the file a column block
-    at a time: memory stays O(segments) at any sample count. Each block's
-    constant columns are formatted once, into the row template of the block.
+    """Write the trace of ``motion`` at ``sample_rate``: the header row, then
+    each row of :func:`simulate`'s samples formatted by ``_TRACE_ROW``,
+    streamed to the file a column block at a time, so memory stays
+    O(segments) at any sample count. Each block's constant columns are
+    formatted once, into the row template of the block.
     The sample count is checked before the file is opened, so a rejected
     trace leaves ``path`` untouched."""
     counts = _sample_counts(motion.trajectory, sample_rate)

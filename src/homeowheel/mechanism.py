@@ -45,10 +45,10 @@ from .rotations import (
     rot_z,
 )
 
-#: Default tolerance for the engagement predicate, degrees.
+#: Tolerance of the engagement predicate, degrees.
 ENGAGE_TOL = 1e-9
 
-#: Default tolerance for the gimbal-lock predicate, degrees.
+#: Tolerance of the gimbal-lock predicate, degrees.
 GIMBAL_TOL = 1e-6
 
 
@@ -175,38 +175,38 @@ def validate_state(state: ServoState, limits: ServoLimits = DEFAULT_LIMITS) -> l
     return violations
 
 
-def engaged(state: ServoState, tol: float = ENGAGE_TOL) -> bool:
+def engaged(state: ServoState) -> bool:
     """True iff the shaft is clutched to the wheel.
 
     The two driving configurations are (s2, s3) = (+90, -90) and (-90, +90),
-    compared within ``tol`` because interpolated samples may sit near +-90.
+    compared within :data:`ENGAGE_TOL` because interpolated samples may sit
+    near +-90.
     """
-    if tol < 0.0:
-        raise InvalidParameter("tol must be non-negative")
-    return ((abs(state.s2 - 90.0) <= tol and abs(state.s3 + 90.0) <= tol)
-            or (abs(state.s2 + 90.0) <= tol and abs(state.s3 - 90.0) <= tol))
+    return ((abs(state.s2 - 90.0) <= ENGAGE_TOL and abs(state.s3 + 90.0) <= ENGAGE_TOL)
+            or (abs(state.s2 + 90.0) <= ENGAGE_TOL and abs(state.s3 - 90.0) <= ENGAGE_TOL))
 
 
-def drive_sign(state: ServoState, tol: float = ENGAGE_TOL) -> int:
+def drive_sign(state: ServoState) -> int:
     """Sign coupling shaft motion to wheel rotation: dTheta_wheel = sign * ds1.
 
     +1 in the (s2, s3) = (+90, -90) configuration, -1 in (-90, +90), 0 when
     disengaged. Either configuration therefore turns the wheel forward for
     the s1 travel direction it allows, which is the rectification rule.
     """
-    if not engaged(state, tol):
+    if not engaged(state):
         return 0
     return 1 if state.s2 > 0.0 else -1
 
 
-def gimbal_lock_risk(state: ServoState, s1_rate: float, tol: float = GIMBAL_TOL) -> bool:
-    """True iff the shaft is turning through the degenerate s2 = s3 = 0 pose.
+def gimbal_lock_risk(state: ServoState, s1_rate: float) -> bool:
+    """True iff the shaft is turning through the degenerate s2 = s3 = 0 pose,
+    both servos within :data:`GIMBAL_TOL` of it.
 
     This is a warning condition, not an error: the clutch model already
     yields zero wheel motion there, but a physical build would need extra
     articulation to avoid the lock.
     """
-    return abs(state.s2) <= tol and abs(state.s3) <= tol and abs(s1_rate) > 0.0
+    return abs(state.s2) <= GIMBAL_TOL and abs(state.s3) <= GIMBAL_TOL and abs(s1_rate) > 0.0
 
 
 def forward_kinematics(geometry: MechanismGeometry, state: ServoState,

@@ -22,7 +22,6 @@ from .executor import MAX_PLAN_SWEEPS, MAX_WAYPOINTS, Trajectory, Waypoint, segm
 from .mechanism import (
     DEFAULT_GEOMETRY,
     DEFAULT_LIMITS,
-    ENGAGE_TOL,
     HOME_STATE,
     MechanismGeometry,
     ServoLimits,
@@ -185,7 +184,7 @@ def generate_gait(period_s: float, cycles: int,
     return Trajectory(geometry=geometry, limits=limits, waypoints=tuple(waypoints))
 
 
-def count_engaged_sweeps(trajectory: Trajectory, tol: float = ENGAGE_TOL) -> int:
+def count_engaged_sweeps(trajectory: Trajectory) -> int:
     """Number of segments that actually turn the wheel.
 
     For greedy plans this equals the number of engage/reconfigure operations,
@@ -193,6 +192,6 @@ def count_engaged_sweeps(trajectory: Trajectory, tol: float = ENGAGE_TOL) -> int
     """
     count = 0
     for _, a, b in trajectory.segments():
-        if b.state.s1 != a.state.s1 and segment_drive(a.state, b.state, tol) != 0:
+        if b.state.s1 != a.state.s1 and segment_drive(a.state, b.state) != 0:
             count += 1
     return count

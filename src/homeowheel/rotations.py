@@ -1,4 +1,4 @@
-"""Rotation algebra: unit quaternions, rotation matrices, continuous angle lifts.
+"""Rotation algebra: unit quaternions and continuous angle lifts.
 
 Conventions used throughout the package:
 
@@ -93,55 +93,16 @@ def quat_conjugate(q: UnitQuaternion) -> UnitQuaternion:
     return UnitQuaternion(q.w, -q.x, -q.y, -q.z)
 
 
-def quat_to_matrix(q: UnitQuaternion):
-    """3x3 rotation matrix (numpy array) for ``q``.
-
-    The formula uses only pairwise products, so q and -q produce bitwise
-    identical matrices.
-    """
-    import numpy as np
-    w, x, y, z = q.w, q.x, q.y, q.z
-    xx, yy, zz = x * x, y * y, z * z
-    wx, wy, wz = w * x, w * y, w * z
-    xy, xz, yz = x * y, x * z, y * z
-    return np.array([
-        [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
-        [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
-        [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-    ])
-
-
-def is_rotation_matrix(mat, tol: float = 1e-10) -> bool:
-    """True iff ``mat`` is 3x3, orthonormal within ``tol`` and det = +1 within ``tol``."""
-    import numpy as np
-    m = np.asarray(mat, dtype=float)
-    if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-        return False
-    ortho_err = float(np.abs(m.T @ m - np.eye(3)).max())
-    return ortho_err <= tol and abs(float(np.linalg.det(m)) - 1.0) <= tol
-
-
 def rot_x(angle_deg: float) -> UnitQuaternion:
     """Rotation about the +x axis."""
     half = math.radians(angle_deg) / 2.0
     return _unit(math.cos(half), math.sin(half), 0.0, 0.0)
 
 
-def rot_y(angle_deg: float) -> UnitQuaternion:
-    """Rotation about the +y axis."""
-    half = math.radians(angle_deg) / 2.0
-    return _unit(math.cos(half), 0.0, math.sin(half), 0.0)
-
-
 def rot_z(angle_deg: float) -> UnitQuaternion:
     """Rotation about the +z axis."""
     half = math.radians(angle_deg) / 2.0
     return _unit(math.cos(half), 0.0, 0.0, math.sin(half))
-
-
-def wrap_degrees(angle_deg: float) -> float:
-    """Wrap an angle into the principal range [-180, 180)."""
-    return ((angle_deg + 180.0) % 360.0) - 180.0
 
 
 def unwrap_angle(previous: float, new_wrapped: float) -> float:

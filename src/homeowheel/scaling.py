@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from numbers import Real
 
 from .errors import InvalidParameter, ZeroDistance
 from .executor import Motion
@@ -67,11 +68,15 @@ def cost_of_transport(motion: Motion, torques_nm: Sequence[float],
     """Quasi-static transport cost E / (m * g * |dx|) of an analysed motion.
 
     E sums ``|tau_i * delta_s_i|`` over the segments of the trajectory, with
-    ``torques_nm`` the constant torque magnitudes of servos 1..3. Raises
-    :class:`ZeroDistance` when the motion covers no distance.
+    ``torques_nm`` the constant torque magnitudes of servos 1..3, each a
+    finite real number (not a bool). Raises :class:`ZeroDistance` when the
+    motion covers no distance.
     """
     if len(torques_nm) != 3:
         raise InvalidParameter(f"expected 3 servo torques, got {len(torques_nm)}")
+    for tau in torques_nm:
+        if isinstance(tau, bool) or not (isinstance(tau, Real) and math.isfinite(tau)):
+            raise InvalidParameter(f"servo torques must be finite numbers, got {tau!r}")
     if not (math.isfinite(mass_kg) and mass_kg > 0.0):
         raise InvalidParameter(f"mass must be positive and finite, got {mass_kg!r}")
     if not (math.isfinite(gravity) and gravity > 0.0):

@@ -8,8 +8,8 @@ twist of a segment is the raw joint angle; for any trajectory that stays
 within the servo ranges every segment stays bounded and the membrane never
 tears. Over a piecewise-linear path the twist reaches its extremes at
 waypoints, so checking the waypoints certifies the whole path.
-:func:`update_ledger` and :func:`ledger_history` lift a sampled path
-continuously for callers that only have samples.
+:func:`ledger_history` lifts a sampled path continuously for callers that
+only have samples.
 """
 
 from __future__ import annotations
@@ -32,12 +32,6 @@ class TwistLedger(record("TwistLedger", "seg_body_gantry seg_shaft_axial seg_wri
     """
 
     __slots__ = ()
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.seg_body_gantry, self.seg_shaft_axial, self.seg_wrist)
-
-
-ZERO_LEDGER = TwistLedger()
 
 
 class IntegrityViolation(record("IntegrityViolation", "time segment value")):
@@ -68,31 +62,24 @@ def ledger_from_state(state: ServoState) -> TwistLedger:
     return TwistLedger(state.s2, state.s1, state.s3)
 
 
-def update_ledger(ledger: TwistLedger, state: ServoState) -> TwistLedger:
-    """Advance the ledger to ``state``, lifting each angle continuously.
-
-    Requires the per-step change of every servo to be below 180 deg; the
-    lift then lands on the raw angle exactly for in-range states.
-    """
-    return TwistLedger(
-        unwrap_angle(ledger.seg_body_gantry, state.s2),
-        unwrap_angle(ledger.seg_shaft_axial, state.s1),
-        unwrap_angle(ledger.seg_wrist, state.s3),
-    )
-
-
 def ledger_history(states: Iterable[ServoState],
                    initial: TwistLedger | None = None) -> list[TwistLedger]:
     """Ledger at every state of a sampled path.
 
     Without ``initial`` the first state seeds the ledger directly (its
-    authored angles are the true twist); subsequent states are lifted near
-    the running ledger.
+    authored angles are the true twist); each later state is lifted near
+    the running ledger, which requires every servo to change by less than
+    180 deg per step. In-range states then lift to their raw angles exactly.
     """
     history: list[TwistLedger] = []
     ledger = initial
     for state in states:
-        ledger = ledger_from_state(state) if ledger is None else update_ledger(ledger, state)
+        if ledger is None:
+            ledger = ledger_from_state(state)
+        else:
+            ledger = TwistLedger(unwrap_angle(ledger.seg_body_gantry, state.s2),
+                                 unwrap_angle(ledger.seg_shaft_axial, state.s1),
+                                 unwrap_angle(ledger.seg_wrist, state.s3))
         history.append(ledger)
     return history
 

@@ -23,9 +23,10 @@ from homeowheel.executor import (
 )
 from homeowheel.mechanism import MechanismGeometry, ServoState
 from homeowheel.planner import count_engaged_sweeps, generate_gait, plan_rotation
-from homeowheel.rotations import quat_from_axis_angle, quat_to_matrix
+from homeowheel.rotations import quat_from_axis_angle
 from homeowheel.scaling import ScalingModel, scale
 from homeowheel.tegument import check_integrity, ledger_history
+from reference import quat_to_matrix
 
 
 def _report(name: str, failures: list) -> None:
@@ -47,7 +48,7 @@ def test_criterion_1_canonical_routine_contract():
         if trace.samples[-1].state != ServoState(0.0, 0.0, 0.0):
             failures.append(f"n={n}: final state {trace.samples[-1].state}")
         ledgers = ledger_history(trace.states())
-        if ledgers[-1].as_tuple() != (0.0, 0.0, 0.0):
+        if tuple(ledgers[-1]) != (0.0, 0.0, 0.0):
             failures.append(f"n={n}: final ledger {ledgers[-1]}")
         if not all(0.0 <= lg.seg_shaft_axial <= 360.0 for lg in ledgers):
             failures.append(f"n={n}: shaft lift leaves [0, 360]")

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: summaries, files, exit codes."""
 
+import ast
 import json
 import os
 import subprocess
@@ -350,6 +351,8 @@ class TestConfigAndDeterminism:
         '{"max_rates_deg_per_s": {"s1": 1e309}}',
         '{"wheel_radius_m": "big"}',
         '[]',
+        '{"wheel_radius": 0.5}',
+        '{"max_rates_deg_per_s": {"s4": 5}}',
     ])
     def test_invalid_config_is_a_usage_error(self, capsys, tmp_path, text):
         config = tmp_path / "config.json"
@@ -489,3 +492,21 @@ def test_no_command_imports_numpy_dataclasses_inspect_or_typing(tmp_path):
     assert "ok=1" in done.stdout and "accel_ratio=" in done.stdout
     # After the import, then after each command: none of them loaded.
     assert json.loads(done.stderr.splitlines()[-1]) == [[]] * 6
+
+
+def test_package_imports_only_the_standard_library():
+    # Every import statement, including those inside functions.
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "homeowheel").glob("*.py"))
+    assert sources
+    foreign = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = ["homeowheel" if node.level else node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [(source.name, root) for root in roots
+                        if root != "homeowheel" and root not in sys.stdlib_module_names]
+    assert foreign == []

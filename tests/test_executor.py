@@ -30,7 +30,6 @@ from homeowheel.executor import (
     read_trajectory_file,
     segment_drive,
     simulate,
-    trace_to_csv,
     trajectory_to_json,
     validate_trajectory,
     write_trace_file,
@@ -39,12 +38,12 @@ from homeowheel.executor import (
 from homeowheel.mechanism import (
     DEFAULT_GEOMETRY,
     DEFAULT_LIMITS,
-    ENGAGE_TOL,
     GIMBAL_TOL,
     MechanismGeometry,
     ServoLimits,
     ServoState,
 )
+from reference import reference_trace_csv, reference_trace_rows, sample_rows
 
 S = ServoState
 
@@ -230,12 +229,15 @@ class TestSimulate:
                               for _, a, b in trajectory.segments())
             assert total_theta <= total_shaft + 1e-9
 
-    def test_deterministic_trace(self):
+    def test_deterministic_trace(self, tmp_path):
         trajectory = build_rotate_wheel_2n(2)
         first = simulate(trajectory)
         second = simulate(trajectory)
         assert first == second
-        assert trace_to_csv(first) == trace_to_csv(second)
+        paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        for path in paths:
+            write_trace_file(analyse(trajectory), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_invalid_trajectory_raises(self):
         trajectory = make_trajectory([(0, 0, 0), (400, 0, 0)])
@@ -423,6 +425,14 @@ class TestTrajectoryFiles:
             parse_trajectory(json.dumps(doc))
         assert "wheel_radius_m" in str(excinfo.value)
 
+    def test_unknown_header_field_names_its_location(self):
+        import json
+        doc = json.loads(trajectory_to_json(build_rotate_wheel_2n(1)))
+        doc["wheel_radius"] = doc.pop("wheel_radius_m")
+        with pytest.raises(TrajectoryParseError) as excinfo:
+            parse_trajectory(json.dumps(doc))
+        assert excinfo.value.location == "$.wheel_radius"
+
     def test_bad_waypoint_field_names_its_location(self):
         import json
         doc = json.loads(trajectory_to_json(build_rotate_wheel_2n(1)))
@@ -525,6 +535,9 @@ class TestConfig:
         ('{"wheel_radius_m": null}', "$.wheel_radius_m"),
         ('{"wheel_radius_m": -1}', "$"),
         ('{"servo_ranges_deg": {"s1": [5, 5]}}', "$"),
+        ('{"wheel_radius": 0.5}', "$.wheel_radius"),
+        ('{"max_rates_deg_per_s": {"s4": 5}}', "$.max_rates_deg_per_s.s4"),
+        ('{"servo_ranges_deg": {"S1": [0, 1]}}', "$.servo_ranges_deg.S1"),
     ])
     def test_bad_values_are_parse_errors_with_their_location(self, text, location):
         with pytest.raises(TrajectoryParseError) as excinfo:
@@ -536,43 +549,41 @@ class TestConfig:
             parse_config('{"max_rates_deg_per_s": {"s1": Infinity}}')
 
 
+def trace_lines(trajectory, tmp_path, sample_rate=50.0) -> list[str]:
+    path = tmp_path / "trace.csv"
+    write_trace_file(analyse(trajectory), path, sample_rate)
+    return path.read_text().splitlines()
+
+
 class TestTraceExport:
-    def test_header_and_shape(self):
-        trace = simulate(build_rotate_wheel_2n(1), sample_rate=2.0)
-        lines = trace_to_csv(trace).splitlines()
+    def test_header_and_shape(self, tmp_path):
+        trajectory = build_rotate_wheel_2n(1)
+        lines = trace_lines(trajectory, tmp_path, 2.0)
         assert lines[0] == "t,s1,s2,s3,theta_wheel_deg,x_m,engaged,event_flags"
-        assert len(lines) == len(trace.samples) + 1
+        assert len(lines) == len(simulate(trajectory, sample_rate=2.0).samples) + 1
         for line in lines[1:]:
             assert len(line.split(",")) == 8
 
-    def test_nine_significant_digits(self):
+    def test_nine_significant_digits(self, tmp_path):
         trajectory = build_rotate_wheel_2n(1, geometry=MechanismGeometry(wheel_radius=0.5))
-        trace = simulate(trajectory)
-        last = trace_to_csv(trace).splitlines()[-1]
-        fields = last.split(",")
+        fields = trace_lines(trajectory, tmp_path)[-1].split(",")
         assert fields[4] == "720"
         assert fields[5] == "6.28318531"
 
-    def test_engaged_column_is_binary(self):
-        trace = simulate(build_rotate_wheel_2n(1))
-        for line in trace_to_csv(trace).splitlines()[1:]:
+    def test_engaged_column_is_binary(self, tmp_path):
+        for line in trace_lines(build_rotate_wheel_2n(1), tmp_path)[1:]:
             assert line.split(",")[6] in ("0", "1")
 
     def test_written_file_is_the_simulated_trace(self, tmp_path):
         # 124 one-second segments at 37 Hz: 4,589 rows, more than one chunk.
         trajectory = build_rotate_wheel_2n(20, geometry=MechanismGeometry(wheel_radius=0.37))
+        motion = analyse(trajectory)
         path = tmp_path / "trace.csv"
-        write_trace_file(analyse(trajectory), path, 37.0)
-        assert path.read_bytes() == trace_to_csv(simulate(trajectory, 37.0)).encode("utf-8")
-
-    def test_engaged_column_uses_the_motion_tolerance(self, tmp_path):
-        # 0.5 deg off the clutch pose: engaged at tolerance 1, not at the default.
-        trajectory = make_trajectory([(0, 89.5, -90), (10, 89.5, -90)])
-        path = tmp_path / "trace.csv"
-        for tol, column in ((ENGAGE_TOL, "0"), (1.0, "1")):
-            write_trace_file(analyse(trajectory, engage_tol=tol), path, 2.0)
-            rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-            assert {row[6] for row in rows} == {column}
+        write_trace_file(motion, path, 37.0)
+        assert path.read_bytes() == reference_trace_csv(motion, 37.0)
+        rows = sample_rows(simulate(trajectory, 37.0))
+        assert len(rows) == 4589
+        assert repr(rows) == repr(list(reference_trace_rows(motion, 37.0)))
 
     def test_rejected_rate_leaves_the_file_alone(self, tmp_path, forbid):
         path = tmp_path / "trace.csv"

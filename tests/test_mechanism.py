@@ -23,6 +23,7 @@ from homeowheel.executor import (
 from homeowheel.mechanism import (
     DEFAULT_GEOMETRY,
     DEFAULT_LIMITS,
+    ENGAGE_TOL,
     HOME_STATE,
     MechanismGeometry,
     RangeViolation,
@@ -34,9 +35,10 @@ from homeowheel.mechanism import (
     gimbal_lock_risk,
     validate_state,
 )
-from homeowheel.rotations import IDENTITY_QUATERNION, quat_to_matrix
+from homeowheel.rotations import IDENTITY_QUATERNION
 from homeowheel.scaling import ScalingModel, scale
 from homeowheel.tegument import IntegrityViolation, TwistLedger
+from reference import quat_to_matrix
 
 
 def mat_x(deg):
@@ -90,16 +92,15 @@ class TestEngaged:
     def test_tolerance(self):
         assert engaged(ServoState(0.0, 90.0 - 1e-10, -90.0 + 1e-10))
         assert not engaged(ServoState(0.0, 89.0, -89.0))
-        assert engaged(ServoState(0.0, 89.0, -89.0), tol=1.0)
 
     def test_implies_mirror_configuration(self):
         rng = np.random.default_rng(21)
-        tol = 1e-6
+        tol = ENGAGE_TOL
         for _ in range(2000):
-            s2 = float(rng.choice([-90.0, 90.0]) + rng.uniform(-2e-6, 2e-6))
-            s3 = float(rng.choice([-90.0, 90.0]) + rng.uniform(-2e-6, 2e-6))
+            s2 = float(rng.choice([-90.0, 90.0]) + rng.uniform(-2 * tol, 2 * tol))
+            s3 = float(rng.choice([-90.0, 90.0]) + rng.uniform(-2 * tol, 2 * tol))
             state = ServoState(0.0, s2, s3)
-            if engaged(state, tol):
+            if engaged(state):
                 assert abs(abs(state.s2) - 90.0) <= tol
                 assert abs(abs(state.s3) - 90.0) <= tol
                 assert abs(state.s3 + state.s2) <= 2.0 * tol

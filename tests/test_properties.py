@@ -1,12 +1,11 @@
 """Property tests: results are properties of the piecewise-linear path, so
-they hold for any waypoints, limits, tolerances and sample rate."""
+they hold for any waypoints, limits and sample rate."""
 
 import contextlib
 import io
 import json
 import math
 import tempfile
-from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -18,14 +17,10 @@ from homeowheel.errors import TrajectoryParseError, ValidationFailure
 from homeowheel.executor import (
     _CHUNK_ROWS,
     _RATE_GUARD,
-    _TRACE_ROW,
     _header,
-    _sample_counts,
     FLAG_GIMBAL_LOCK_RISK,
-    TRACE_HEADER,
     DisengagedShaftMotion,
     EmptyTrajectory,
-    Motion,
     Policy,
     RateViolation,
     TimeOrderViolation,
@@ -39,28 +34,26 @@ from homeowheel.executor import (
     parse_trajectory,
     segment_drive,
     simulate,
-    trace_to_csv,
     trajectory_to_json,
     validate_trajectory,
     write_trace_file,
 )
 from homeowheel.mechanism import (
-    ENGAGE_TOL,
+    GIMBAL_TOL,
     MechanismGeometry,
     ServoLimits,
     ServoState,
-    engaged,
     validate_state,
 )
 from homeowheel.planner import count_engaged_sweeps, generate_gait, plan_rotation
 from homeowheel.tegument import check_integrity, ledger_from_state
+from reference import reference_trace_csv, reference_trace_rows, sample_rows
 
 # Angles on a 1/8 deg grid: differences of grid values are exact, so an
 # interpolated sample never rounds past the segment's endpoints.
 grid = st.integers(-3200, 3200).map(lambda k: k / 8.0)
-# s2 and s3 favour the clutch and gimbal-lock poses so tolerances matter.
+# s2 and s3 favour the clutch and gimbal-lock poses.
 joint = st.one_of(st.sampled_from([-90.0, 0.0, 90.0]), grid)
-tolerances = st.floats(min_value=0.0, max_value=2.0)
 sample_rates = st.sampled_from([0.001, 0.3, 1.0, 7.0, 49.0, 50.0])
 
 
@@ -80,9 +73,10 @@ WIDE_LIMITS = ServoLimits((-400.0, 400.0), (-400.0, 400.0), (-400.0, 400.0),
 
 
 @st.composite
-def trajectories(draw):
-    """Waypoints on the grid under random limits, which they almost always
-    leave, or under :data:`WIDE_LIMITS`, which they always keep."""
+def trajectories(draw, joint=joint):
+    """Waypoints on the grid, s2 and s3 drawn from ``joint``, under random
+    limits, which they almost always leave, or under :data:`WIDE_LIMITS`,
+    which they always keep."""
     n = draw(st.integers(1, 8))
     t = 0.0
     waypoints = []
@@ -94,10 +88,9 @@ def trajectories(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(trajectories(), tolerances, tolerances)
-def test_lenient_clean_trajectories_pass_the_integrity_certificate(trajectory, engage_tol,
-                                                                    gimbal_tol):
-    motion = analyse(trajectory, check=False, engage_tol=engage_tol, gimbal_tol=gimbal_tol)
+@given(trajectories())
+def test_lenient_clean_trajectories_pass_the_integrity_certificate(trajectory):
+    motion = analyse(trajectory, check=False)
     violations = validate_trajectory(trajectory, policy=Policy.LENIENT)
     if not violations:
         event("lenient-clean")
@@ -107,13 +100,11 @@ def test_lenient_clean_trajectories_pass_the_integrity_certificate(trajectory, e
 
 
 @settings(max_examples=200, deadline=None)
-@given(trajectories(), tolerances, tolerances, sample_rates, sample_rates)
-def test_simulate_agrees_with_analyse_at_any_sample_rate(trajectory, engage_tol, gimbal_tol,
-                                                         rate_a, rate_b):
-    motion = analyse(trajectory, check=False, engage_tol=engage_tol, gimbal_tol=gimbal_tol)
+@given(trajectories(), sample_rates, sample_rates)
+def test_simulate_agrees_with_analyse_at_any_sample_rate(trajectory, rate_a, rate_b):
+    motion = analyse(trajectory, check=False)
     for rate in (rate_a, rate_b):
-        trace = simulate(trajectory, rate, check=False, engage_tol=engage_tol,
-                         gimbal_tol=gimbal_tol)
+        trace = simulate(trajectory, rate, check=False)
         assert trace.events == motion.events
         assert trace.final_theta_deg == motion.final_theta_deg
         sampled = check_integrity([ledger_from_state(s) for s in trace.states()],
@@ -123,13 +114,13 @@ def test_simulate_agrees_with_analyse_at_any_sample_rate(trajectory, engage_tol,
 
 
 @settings(max_examples=200, deadline=None)
-@given(trajectories(), tolerances, sample_rates)
-def test_final_sample_angle_is_the_segment_sum(trajectory, engage_tol, rate):
-    motion = analyse(trajectory, check=False, engage_tol=engage_tol)
-    trace = simulate(trajectory, rate, check=False, engage_tol=engage_tol)
+@given(trajectories(), sample_rates)
+def test_final_sample_angle_is_the_segment_sum(trajectory, rate):
+    motion = analyse(trajectory, check=False)
+    trace = simulate(trajectory, rate, check=False)
     expected = 0.0
     for _, a, b in trajectory.segments():
-        expected += segment_drive(a.state, b.state, engage_tol) * (b.state.s1 - a.state.s1)
+        expected += segment_drive(a.state, b.state) * (b.state.s1 - a.state.s1)
     assert trace.samples[-1].theta_wheel_deg == motion.final_theta_deg == expected
 
 
@@ -145,19 +136,24 @@ def _closest_approach(a, b) -> float:
     return min(max(abs(a.s2 + d2 * x), abs(a.s3 + d3 * x)) for x in alphas if 0.0 <= x <= 1.0)
 
 
+# s2 and s3 also just inside and just outside the gimbal-lock tolerance.
+near_gimbal_joint = st.one_of(joint, st.sampled_from(
+    [k * GIMBAL_TOL for k in (-2.0, -1.5, -0.5, 0.5, 1.5, 2.0)]))
+
+
 @settings(max_examples=300, deadline=None)
-@given(trajectories(), tolerances)
-def test_gimbal_risk_flags_segments_that_pass_the_degenerate_pose(trajectory, gimbal_tol):
-    motion = analyse(trajectory, check=False, gimbal_tol=gimbal_tol)
+@given(trajectories(near_gimbal_joint))
+def test_gimbal_risk_flags_segments_that_pass_the_degenerate_pose(trajectory):
+    motion = analyse(trajectory, check=False)
     for i, a, b in trajectory.segments():
         flagged = bool(motion.flags[i] & FLAG_GIMBAL_LOCK_RISK)
         if not (b.t > a.t and b.state.s1 != a.state.s1):
             assert not flagged
             continue
         closest = _closest_approach(a.state, b.state)
-        if closest < gimbal_tol - 1e-9:
+        if closest < GIMBAL_TOL - 1e-9:
             assert flagged
-        elif closest > gimbal_tol + 1e-9:
+        elif closest > GIMBAL_TOL + 1e-9:
             assert not flagged
 
 
@@ -221,51 +217,20 @@ def unchecked_trajectories(draw):
     return Trajectory(draw(geometries()), trajectory.limits, tuple(waypoints))
 
 
-def reference_trace_rows(motion: Motion, counts: list[int]) -> Iterator[tuple]:
-    """The row-at-a-time sampling loop that the column blocks replaced, kept
-    as the reference: every row of every segment from the same float
-    expressions, ``counts[i]`` on segment i, then the last waypoint's."""
-    trajectory, engage_tol = motion.trajectory, motion.engage_tol
-    radius = trajectory.geometry.wheel_radius
-    for (i, a, b), subdivisions in zip(trajectory.segments(), counts):
-        t0, a1, a2, a3 = a.t, a.state.s1, a.state.s2, a.state.s3
-        seg_dt = b.t - t0
-        d_s1, d_s2, d_s3 = b.state.s1 - a1, b.state.s2 - a2, b.state.s3 - a3
-        drive, flags, theta = motion.drives[i], motion.flags[i], motion.theta_deg[i]
-        driving = drive != 0
-        yield (t0, a1, a2, a3, theta, radius * math.radians(theta),
-               engaged(a.state, engage_tol), flags)
-        for j in range(1, subdivisions):
-            alpha = j / subdivisions
-            s1 = a1 + d_s1 * alpha
-            theta_now = theta + drive * (s1 - a1) if drive else theta
-            yield (t0 + seg_dt * alpha, s1, a2 + d_s2 * alpha, a3 + d_s3 * alpha,
-                   theta_now, radius * math.radians(theta_now), driving, flags)
-    last = trajectory.waypoints[-1]
-    yield (last.t, last.state.s1, last.state.s2, last.state.s3, motion.final_theta_deg,
-           motion.final_x_m, engaged(last.state, engage_tol),
-           motion.flags[-1] if motion.flags else 0)
-
-
-def reference_trace_csv(motion: Motion, sample_rate: float) -> bytes:
-    rows = reference_trace_rows(motion, _sample_counts(motion.trajectory, sample_rate))
-    return (TRACE_HEADER + "\n" + "".join(_TRACE_ROW % row for row in rows)).encode("utf-8")
-
-
 @settings(max_examples=200, deadline=None)
 @given(unchecked_trajectories(),
-       st.one_of(sample_rates, st.floats(min_value=0.01, max_value=200.0)),
-       st.one_of(st.just(ENGAGE_TOL), tolerances))
-def test_streamed_trace_file_is_the_simulated_trace(trajectory, rate, engage_tol):
-    # Both consumers of the one sampling loop, and the row-at-a-time reference.
-    motion = analyse(trajectory, check=False, engage_tol=engage_tol)
+       st.one_of(sample_rates, st.floats(min_value=0.01, max_value=200.0)))
+def test_streamed_trace_file_is_the_simulated_trace(trajectory, rate):
+    # Both consumers of the one sampling loop, each against the row-at-a-time
+    # reference.
+    motion = analyse(trajectory, check=False)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         write_trace_file(motion, path, rate)
         written = path.read_bytes()
     assert written == reference_trace_csv(motion, rate)
-    trace = simulate(trajectory, rate, check=False, engage_tol=engage_tol)
-    assert written == trace_to_csv(trace).encode("utf-8")
+    trace = simulate(trajectory, rate, check=False)
+    assert repr(sample_rows(trace)) == repr(list(reference_trace_rows(motion, rate)))
 
 
 def test_long_segment_with_negative_zero_columns_matches_the_reference(tmp_path):
@@ -286,8 +251,8 @@ def test_long_segment_with_negative_zero_columns_matches_the_reference(tmp_path)
     assert lines[-1] == "100,-0,90,-0,0,0,0,0"
 
 
-def reference_validate_trajectory(trajectory: Trajectory, policy: Policy = Policy.STRICT,
-                                  engage_tol: float = ENGAGE_TOL) -> list[Violation]:
+def reference_validate_trajectory(trajectory: Trajectory,
+                                  policy: Policy = Policy.STRICT) -> list[Violation]:
     """The standalone validator that analyse replaced, kept as the reference."""
     waypoints = trajectory.waypoints
     if not waypoints:
@@ -310,7 +275,7 @@ def reference_validate_trajectory(trajectory: Trajectory, policy: Policy = Polic
                 violations.append(RateViolation(i, f"servo{servo[-1]}", rate, max_rate))
         if policy is Policy.STRICT:
             d_s1 = b.state.s1 - a.state.s1
-            if d_s1 != 0.0 and segment_drive(a.state, b.state, engage_tol) == 0:
+            if d_s1 != 0.0 and segment_drive(a.state, b.state) == 0:
                 violations.append(DisengagedShaftMotion(i, a.t, b.t, d_s1))
     return violations
 
@@ -318,19 +283,19 @@ def reference_validate_trajectory(trajectory: Trajectory, policy: Policy = Polic
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(unchecked_trajectories(), unchecked_trajectories().map(
            lambda t: Trajectory(t.geometry, WIDE_LIMITS, t.waypoints))),
-       st.sampled_from(list(Policy)), st.one_of(st.just(ENGAGE_TOL), tolerances))
-def test_analyse_reports_the_reference_violations(trajectory, policy, engage_tol):
-    expected = reference_validate_trajectory(trajectory, policy, engage_tol)
-    assert validate_trajectory(trajectory, policy, engage_tol) == expected
-    motion = analyse(trajectory, policy, check=False, engage_tol=engage_tol)
+       st.sampled_from(list(Policy)))
+def test_analyse_reports_the_reference_violations(trajectory, policy):
+    expected = reference_validate_trajectory(trajectory, policy)
+    assert validate_trajectory(trajectory, policy) == expected
+    motion = analyse(trajectory, policy, check=False)
     assert list(motion.violations) == expected
     lenient = reference_validate_trajectory(trajectory, Policy.LENIENT)
     if lenient:
         with pytest.raises(ValidationFailure) as failure:
-            analyse(trajectory, policy, engage_tol=engage_tol)
+            analyse(trajectory, policy)
         assert failure.value.violations == lenient
     else:
-        assert analyse(trajectory, policy, engage_tol=engage_tol) == motion
+        assert analyse(trajectory, policy) == motion
 
 
 @settings(max_examples=200, deadline=None)

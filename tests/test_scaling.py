@@ -1,5 +1,7 @@
 """Tests for the size scaling laws and the transport cost proxy."""
 
+import math
+
 import pytest
 
 from homeowheel.errors import InvalidParameter, ZeroDistance
@@ -106,3 +108,7 @@ class TestCostOfTransport:
             cost_of_transport(motion, (1.0, 1.0, 1.0), 0.0)
         with pytest.raises(InvalidParameter):
             cost_of_transport(motion, (1.0, 1.0, 1.0), 1.0, gravity=0.0)
+        for torques in ([math.nan, 1, 1], [math.inf, 1, 1], [1, -math.inf, 1],
+                        ["1", 1, 1], [True, 1, 1], [1, 1, None]):
+            with pytest.raises(InvalidParameter):
+                cost_of_transport(motion, torques, 1.0)

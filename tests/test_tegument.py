@@ -7,17 +7,22 @@ from homeowheel.mechanism import ServoLimits, ServoState
 from homeowheel.tegument import (
     IntegrityReport,
     TwistLedger,
-    ZERO_LEDGER,
     check_integrity,
     ledger_from_state,
     ledger_history,
-    update_ledger,
 )
 
+ZERO = TwistLedger(0.0, 0.0, 0.0)
 
-class TestUpdateLedger:
+
+def lift(ledger: TwistLedger, state: ServoState) -> TwistLedger:
+    """One lifting step of :func:`ledger_history` from ``ledger``."""
+    return ledger_history([state], initial=ledger)[0]
+
+
+class TestLiftingStep:
     def test_home_state_stays_zero(self):
-        assert update_ledger(ZERO_LEDGER, ServoState(0.0, 0.0, 0.0)) == ZERO_LEDGER
+        assert lift(ZERO, ServoState(0.0, 0.0, 0.0)) == ZERO
 
     def test_extreme_legal_configuration_reached_in_steps(self):
         # Walk to (s1, s2, s3) = (360, 90, -90) through in-range samples; the
@@ -29,28 +34,29 @@ class TestUpdateLedger:
             ServoState(270.0, 90.0, -90.0),
             ServoState(360.0, 90.0, -90.0),
         ]
-        ledger = ZERO_LEDGER
+        ledger = ZERO
         for state in path:
-            ledger = update_ledger(ledger, state)
+            ledger = lift(ledger, state)
         assert ledger == TwistLedger(90.0, 360.0, -90.0)
+        assert ledger_history(path, initial=ZERO)[-1] == ledger
 
     def test_canonical_routine_returns_to_zero(self):
         trajectory = build_rotate_wheel_2n(1)
         ledgers = ledger_history(wp.state for wp in trajectory.waypoints)
         assert ledgers[-1] == TwistLedger(0.0, 0.0, 0.0)
-        assert ledgers[-1].as_tuple() == (0.0, 0.0, 0.0)
+        assert tuple(ledgers[-1]) == (0.0, 0.0, 0.0)
 
     def test_lift_equals_raw_for_in_range_walks(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             s1, s2, s3 = 0.0, 0.0, 0.0
-            ledger = ZERO_LEDGER
+            ledger = ZERO
             for _ in range(100):
                 s1 = float(np.clip(s1 + rng.uniform(-170.0, 170.0), 0.0, 360.0))
                 s2 = float(np.clip(s2 + rng.uniform(-90.0, 90.0), -90.0, 90.0))
                 s3 = float(np.clip(s3 + rng.uniform(-90.0, 90.0), -90.0, 90.0))
-                ledger = update_ledger(ledger, ServoState(s1, s2, s3))
-                assert ledger.as_tuple() == (s2, s1, s3)
+                ledger = lift(ledger, ServoState(s1, s2, s3))
+                assert tuple(ledger) == (s2, s1, s3)
 
     def test_zero_return_is_exact(self):
         # Whenever the servos walk back to the home state along an in-range
@@ -69,7 +75,7 @@ class TestUpdateLedger:
                 s1 -= 170.0
                 states.append(ServoState(s1, 0.0, 0.0))
             states.append(ServoState(0.0, 0.0, 0.0))
-            assert ledger_history(states)[-1] == ZERO_LEDGER
+            assert ledger_history(states)[-1] == ZERO
 
 
 class TestLedgerHistory:

@@ -13,9 +13,13 @@ sample rate. While disengaged the wheel is held, not freewheeling: the
 reconfiguration steps must not move it or the whole bookkeeping collapses.
 Dense samples exist only for the trace export: one sampling loop yields
 each segment's waypoint row and then its inner rows in column blocks, where
-a column the segment holds still is one value. :func:`write_trace_file`
-formats those constant columns once per block and streams the rows to disk;
-:func:`simulate` expands the blocks into :class:`TraceSample` objects.
+a column the segment holds still is one value. A routine repeats a few servo
+moves, so the loop keeps, per call, what a repeated segment shape gives
+besides its start time and wheel angle (the interpolated servo columns with
+their text, and the time and wheel-angle offsets), for shapes of one block
+and up to one block of rows in all. :func:`write_trace_file` formats only the
+time and wheel columns per row and streams the rows to disk; :func:`simulate`
+expands the blocks into :class:`TraceSample` objects.
 
 File formats (versioned, deterministic byte output):
 
@@ -86,7 +90,8 @@ MAX_PLAN_SWEEPS = 100_000
 MAX_WAYPOINTS = 300_000
 #: Most rows of the trace export (13x the 150,201 of ``simulate --n 500`` at
 #: 50 Hz). :func:`write_trace_file` streams them in column blocks of at most
-#: ``_CHUNK_ROWS`` rows, in O(segments) memory, about 41 bytes of file per row
+#: ``_CHUNK_ROWS`` rows, keeping at most ``_CHUNK_ROWS`` more of repeated
+#: segment shapes, in O(segments) memory, about 41 bytes of file per row
 #: (about 83 MB at the cap); :func:`simulate` holds them all.
 MAX_TRACE_SAMPLES = 2_000_000
 
@@ -450,6 +455,30 @@ def _sample_counts(trajectory: Trajectory, sample_rate: float) -> list[int]:
     return counts
 
 
+def _shape_rows(subdivisions: int, first: int, stop: int, seg_dt: float, drive: int,
+                a1: float, d_s1: float, a2: float, d_s2: float, a3: float, d_s3: float
+                ) -> tuple:
+    """Inner rows ``first`` to ``stop - 1`` of a segment, relative to its start
+    time and wheel angle: what the rows depend on besides those two.
+
+    Returns the ``seg_dt * alpha`` offsets of ``t``; the three servo columns,
+    each a list where the servo moves and else its one value; the
+    ``drive * (s1 - a1)`` offsets of the wheel angle, or None where the wheel
+    holds; and the servo columns' ``"%.9g,%.9g,%.9g"`` text, one string per row.
+    """
+    alphas = [j / subdivisions for j in range(first, stop)]
+    # delta * alpha is float(delta), a zero of delta's sign, for every
+    # alpha > 0, so a constant column holds the value the varying expression gives.
+    servos = [[start + delta * alpha for alpha in alphas] if delta else start + float(delta)
+              for start, delta in ((a1, d_s1), (a2, d_s2), (a3, d_s3))]
+    moving = [column for column in servos if type(column) is list]
+    template = ",".join(["%.9g" if type(column) is list else "%.9g" % column
+                         for column in servos])
+    text = map(template.__mod__, zip(*moving)) if moving else repeat(template, len(alphas))
+    turns = [drive * (s - a1) for s in servos[0]] if drive and d_s1 else None
+    return ([seg_dt * alpha for alpha in alphas], *servos, turns, text)
+
+
 def _trace_blocks(motion: Motion, counts: list[int]) -> Iterator[tuple]:
     """The trace of ``motion``, ``counts[i]`` rows on segment i, then the last
     waypoint's row. The one sampling loop behind :func:`simulate` and
@@ -459,14 +488,25 @@ def _trace_blocks(motion: Motion, counts: list[int]) -> Iterator[tuple]:
     x_m, engaged, event_flags)``, then its inner rows in column blocks of at
     most ``_CHUNK_ROWS`` rows: the same eight columns, each a list holding
     the column's value on every row of the block, or one value shared by all
-    of them where the column is constant over the segment. The ``t`` column
-    of a block is always a list, which tells a block from a row. Constant
-    columns hold the value the varying expression gives, so a -0.0
-    servo angle reads -0.0 on its waypoint row and 0.0 on the inner rows.
+    of them where the column is constant over the segment; a ninth, read
+    once, gives each row's ``s1,s2,s3`` text. The ``t`` column of a block is
+    always a list, which tells a block from a row. Constant columns hold the
+    value the varying expression gives, so a -0.0 servo angle reads -0.0 on
+    its waypoint row and 0.0 on the inner rows.
+
+    A routine repeats a few servo moves, so :func:`_shape_rows` runs once per
+    segment shape (sample count, duration, wheel coupling, servo starts and
+    deltas) and only the start time and wheel angle are added per row. The
+    shapes are keyed by the ``float.hex`` of each value, which tells -0.0
+    from 0.0 and takes ints. Only segments of one block are kept, up to
+    ``_CHUNK_ROWS`` rows in all, and only for this call, so memory stays
+    O(one block).
     """
     trajectory = motion.trajectory
     radius = trajectory.geometry.wheel_radius
     radians = math.radians
+    shapes: dict[tuple, tuple] = {}
+    room = _CHUNK_ROWS
     for (i, a, b), subdivisions in zip(trajectory.segments(), counts):
         t0, a1, a2, a3 = a.t, a.state.s1, a.state.s2, a.state.s3
         seg_dt = b.t - t0
@@ -475,20 +515,28 @@ def _trace_blocks(motion: Motion, counts: list[int]) -> Iterator[tuple]:
         driving = drive != 0
         yield (t0, a1, a2, a3, theta, radius * radians(theta),
                engaged(a.state), flags)
-        for first in range(1, subdivisions, _CHUNK_ROWS):
-            alphas = [j / subdivisions
-                      for j in range(first, min(first + _CHUNK_ROWS, subdivisions))]
-            # delta * alpha is a zero of delta's sign for every alpha > 0.
-            s1 = [a1 + d_s1 * alpha for alpha in alphas] if d_s1 else a1 + d_s1
-            if drive and d_s1:
-                theta_now = [theta + drive * (s - a1) for s in s1]
-                x = [radius * radians(th) for th in theta_now]
-            else:  # theta + drive * 0.0 is theta, which is never -0.0
+        shape = (seg_dt, drive, a1, d_s1, a2, d_s2, a3, d_s3)
+        if 1 < subdivisions <= _CHUNK_ROWS + 1:
+            key = (subdivisions, *map(float.hex, map(float, shape)))
+            rows = shapes.get(key)
+            if rows is None:
+                rows = _shape_rows(subdivisions, 1, subdivisions, *shape)
+                if subdivisions - 1 <= room:
+                    rows = shapes[key] = (*rows[:-1], list(rows[-1]))
+                    room -= subdivisions - 1
+            blocks = (rows,)
+        else:
+            blocks = (_shape_rows(subdivisions, first,
+                                  min(first + _CHUNK_ROWS, subdivisions), *shape)
+                      for first in range(1, subdivisions, _CHUNK_ROWS))
+        for offsets, s1, s2, s3, turns, text in blocks:
+            if turns is None:  # theta + drive * 0.0 is theta, which is never -0.0
                 theta_now, x = theta, radius * radians(theta)
-            yield ([t0 + seg_dt * alpha for alpha in alphas], s1,
-                   [a2 + d_s2 * alpha for alpha in alphas] if d_s2 else a2 + d_s2,
-                   [a3 + d_s3 * alpha for alpha in alphas] if d_s3 else a3 + d_s3,
-                   theta_now, x, driving, flags)
+            else:
+                theta_now = [theta + turn for turn in turns]
+                x = [radius * radians(th) for th in theta_now]
+            yield ([t0 + offset for offset in offsets], s1, s2, s3, theta_now, x,
+                   driving, flags, text)
     last = trajectory.waypoints[-1]
     yield (last.t, last.state.s1, last.state.s2, last.state.s3, motion.final_theta_deg,
            motion.final_x_m, engaged(last.state),
@@ -501,7 +549,8 @@ def _block_rows(block: tuple) -> Iterable[tuple]:
     if type(block[0]) is not list:
         return (block,)
     n = len(block[0])
-    return zip(*(column if type(column) is list else repeat(column, n) for column in block))
+    return zip(*(column if type(column) is list else repeat(column, n)
+                 for column in block[:8]))
 
 
 def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
@@ -536,6 +585,7 @@ _GEOMETRY_KEYS = {"wheel_radius": "wheel_radius_m", "gantry_offset": "gantry_off
                   "upper_link_length": "upper_link_length_m",
                   "lower_link_length": "lower_link_length_m"}
 _SERVOS = ("s1", "s2", "s3")
+_WAYPOINT_KEYS = frozenset(("t", *_SERVOS))
 # Top-level keys of the trajectory file format; a config may hold any of them.
 _FORMAT_KEYS = frozenset(("format_version", *_GEOMETRY_KEYS.values(), "servo_ranges_deg",
                           "max_rates_deg_per_s", "waypoints"))
@@ -674,6 +724,7 @@ def parse_trajectory(text: str | bytes) -> Trajectory:
                        _require(entry, "s2", float, location),
                        _require(entry, "s3", float, location)),
         ))
+        _known_keys(entry, _WAYPOINT_KEYS, location)
     return Trajectory(geometry=geometry, limits=limits, waypoints=tuple(waypoints))
 
 
@@ -701,8 +752,9 @@ def read_trajectory_file(path) -> Trajectory:
 
 TRACE_HEADER = "t,s1,s2,s3,theta_wheel_deg,x_m,engaged,event_flags"
 _TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%d\n"
-# Most inner rows in one column block of _trace_blocks: the memory of a trace
-# export is one block, and it makes about two write() calls per segment.
+# Most inner rows in one column block of _trace_blocks, and most rows of the
+# segment shapes it keeps: the memory of a trace export is about two blocks,
+# and it makes about two write() calls per segment.
 _CHUNK_ROWS = 4096
 
 
@@ -710,8 +762,11 @@ def write_trace_file(motion: Motion, path, sample_rate: float = 50.0) -> None:
     """Write the trace of ``motion`` at ``sample_rate``: the header row, then
     each row of :func:`simulate`'s samples formatted by ``_TRACE_ROW``,
     streamed to the file a column block at a time, so memory stays
-    O(segments) at any sample count. Each block's constant columns are
-    formatted once, into the row template of the block.
+    O(segments) at any sample count. The servo columns come formatted from
+    :func:`_trace_blocks`, once per repeated segment shape; each block's
+    constant wheel columns are formatted once, into the row template of the
+    block, so only ``t``, and ``theta_wheel_deg`` and ``x_m`` where the wheel
+    turns, are formatted per row.
     The sample count is checked before the file is opened, so a rejected
     trace leaves ``path`` untouched."""
     counts = _sample_counts(motion.trajectory, sample_rate)
@@ -722,7 +777,10 @@ def write_trace_file(motion: Motion, path, sample_rate: float = 50.0) -> None:
             if type(block[0]) is not list:
                 out.write(_TRACE_ROW % block)
                 continue
-            varying = [column for column in block if type(column) is list]
-            template = ",".join(["%.9g" if type(column) is list else "%.9g" % column
-                                 for column in block[:6]]) + ",%d,%d\n" % block[6:]
-            out.write("".join(map(template.__mod__, zip(*varying))))
+            t, _, _, _, theta, x, driving, flags, servos = block
+            if type(theta) is list:
+                template, columns = "%.9g,%s,%.9g,%.9g,", (t, servos, theta, x)
+            else:
+                template, columns = "%%.9g,%%s,%.9g,%.9g," % (theta, x), (t, servos)
+            template += "%d,%d\n" % (driving, flags)
+            out.write("".join(map(template.__mod__, zip(*columns))))

@@ -1,14 +1,29 @@
 """Independent implementations the tests check the package against: rotation
-matrices for the quaternion algebra (the package never builds a matrix), and
-the row-at-a-time trace sampler that the column blocks replaced."""
+matrices for the quaternion algebra (the package never builds a matrix), the
+row-at-a-time trace sampler that the column blocks replaced, and the
+per-field trajectory parser, which any faster waypoint parse must match."""
 
 import math
 from collections.abc import Iterator
 
 import numpy as np
 
-from homeowheel.executor import _TRACE_ROW, TRACE_HEADER, Motion, SimTrace, _sample_counts
-from homeowheel.mechanism import engaged
+from homeowheel.errors import TrajectoryParseError
+from homeowheel.executor import (
+    _TRACE_ROW,
+    TRACE_HEADER,
+    TRAJECTORY_FORMAT_VERSION,
+    Motion,
+    SimTrace,
+    Trajectory,
+    Waypoint,
+    _known_keys,
+    _load_object,
+    _parse_header,
+    _require,
+    _sample_counts,
+)
+from homeowheel.mechanism import ServoState, engaged
 from homeowheel.rotations import UnitQuaternion
 
 
@@ -74,3 +89,31 @@ def sample_rows(trace: SimTrace) -> list[tuple]:
     reference rows': unlike ``==``, it tells -0.0 from 0.0."""
     return [(s.t, *s.state, s.theta_wheel_deg, s.x_m, s.engaged, s.event_flags)
             for s in trace.samples]
+
+
+def reference_parse_trajectory(text: str | bytes) -> Trajectory:
+    """The trajectory file parser with every waypoint field checked at its
+    location, one field at a time, then the waypoint's keys."""
+    doc = _load_object(text)
+    version = _require(doc, "format_version", int, "$")
+    if version != TRAJECTORY_FORMAT_VERSION:
+        raise TrajectoryParseError(
+            f"unsupported format_version {version!r} "
+            f"(expected {TRAJECTORY_FORMAT_VERSION})", location="$.format_version")
+    geometry, limits = _parse_header(doc, "$")
+    raw_waypoints = _require(doc, "waypoints", list, "$")
+    if not raw_waypoints:
+        raise TrajectoryParseError("waypoints must be non-empty", location="$.waypoints")
+    waypoints = []
+    for idx, entry in enumerate(raw_waypoints):
+        location = f"$.waypoints[{idx}]"
+        if not isinstance(entry, dict):
+            raise TrajectoryParseError("waypoint must be an object", location=location)
+        waypoints.append(Waypoint(
+            _require(entry, "t", float, location),
+            ServoState(_require(entry, "s1", float, location),
+                       _require(entry, "s2", float, location),
+                       _require(entry, "s3", float, location)),
+        ))
+        _known_keys(entry, ("t", "s1", "s2", "s3"), location)
+    return Trajectory(geometry=geometry, limits=limits, waypoints=tuple(waypoints))

@@ -251,6 +251,18 @@ class TestCheckCommand:
         assert code == 3
         assert "line" in stderr and "column" in stderr
 
+    @pytest.mark.parametrize("index, field", [(0, {"s4": 5}), (1, {"T": 9})])
+    def test_unknown_waypoint_field_exits_three(self, capsys, tmp_path, index, field):
+        path = self._write(tmp_path, [(0.0, 0.0, 0.0), (0.0, 0.0, -90.0), (0.0, 90.0, -90.0)])
+        doc = json.loads(path.read_text())
+        doc["waypoints"][index].update(field)
+        path.write_text(json.dumps(doc, indent=2))
+        code, stdout, stderr = invoke(capsys, "check", str(path))
+        (key,) = field
+        assert code == 3
+        assert stdout == ""
+        assert f"unknown field {key!r} at $.waypoints[{index}].{key}" in stderr
+
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         code, _, stderr = invoke(capsys, "check", str(tmp_path / "nope.json"))
         assert code == 2

@@ -1,5 +1,6 @@
 """Tests for trajectory construction, simulation, validation, and files."""
 
+import json
 import math
 import tracemalloc
 
@@ -496,6 +497,13 @@ class TestTrajectoryFiles:
         assert loaded.limits == limits
 
 
+def routine_with(index: int, **fields) -> str:
+    """The one-iteration routine's file with ``fields`` set on waypoint ``index``."""
+    doc = json.loads(trajectory_to_json(build_rotate_wheel_2n(1)))
+    doc["waypoints"][index].update(fields)
+    return json.dumps(doc, indent=2)
+
+
 class TestConfig:
     def test_every_key_is_optional(self):
         assert parse_config("{}") == (DEFAULT_GEOMETRY, DEFAULT_LIMITS)
@@ -538,11 +546,19 @@ class TestConfig:
         ('{"wheel_radius": 0.5}', "$.wheel_radius"),
         ('{"max_rates_deg_per_s": {"s4": 5}}', "$.max_rates_deg_per_s.s4"),
         ('{"servo_ranges_deg": {"S1": [0, 1]}}', "$.servo_ranges_deg.S1"),
+        pytest.param(routine_with(0, s4=5), "$.waypoints[0].s4", id="waypoint-s4"),
+        pytest.param(routine_with(1, T=9), "$.waypoints[1].T", id="waypoint-T"),
+        pytest.param(routine_with(2, t=2, s1=0, x=None), "$.waypoints[2].x",
+                     id="int-waypoint-x"),
     ])
     def test_bad_values_are_parse_errors_with_their_location(self, text, location):
+        # A config ignores waypoints; the documents holding them are trajectory files.
+        parse = parse_trajectory if '"waypoints"' in text else parse_config
         with pytest.raises(TrajectoryParseError) as excinfo:
-            parse_config(text)
+            parse(text)
         assert excinfo.value.location == location
+        if location.startswith("$.waypoints"):
+            assert str(excinfo.value).startswith(f"unknown field {location.split('.')[-1]!r}")
 
     def test_non_finite_constants_are_rejected(self):
         with pytest.raises(TrajectoryParseError, match="Infinity"):
@@ -620,4 +636,26 @@ class TestTraceExport:
         path = tmp_path / "trace.csv"
         peak = self.peak_writing(analyse(trajectory), path)
         assert path.read_bytes().count(b"\n") == 200_001 + 1
+        assert peak < 2 * 1024 * 1024
+
+    def test_distinct_segment_shapes_stream_in_bounded_memory(self, tmp_path):
+        # 2,000 swaps of s3, each to a target of its own: no segment shape
+        # repeats, so the trace keeps at most one block of rows of them.
+        states = [(0, 0, 0 if k % 2 == 0 else 90 - k * 0.04) for k in range(2001)]
+        path = tmp_path / "trace.csv"
+        peak = self.peak_writing(analyse(make_trajectory(states)), path)
+        assert path.read_bytes().count(b"\n") == 2000 * 50 + 1 + 1
+        assert peak < 2 * 1024 * 1024
+
+    def test_a_repeated_long_segment_streams_in_bounded_memory(self, tmp_path):
+        # Two identical 400 s sweeps of 20,000 rows: a shape longer than a
+        # block is not kept; keeping it whole took about 7 MB.
+        W, S = Waypoint, ServoState
+        trajectory = Trajectory(waypoints=(
+            W(0.0, S(0.0, 90.0, -90.0)), W(400.0, S(360.0, 90.0, -90.0)),
+            W(401.0, S(360.0, 90.0, 90.0)), W(402.0, S(0.0, 90.0, 90.0)),
+            W(403.0, S(0.0, 90.0, -90.0)), W(803.0, S(360.0, 90.0, -90.0))))
+        path = tmp_path / "trace.csv"
+        peak = self.peak_writing(analyse(trajectory, Policy.LENIENT), path)
+        assert path.read_bytes().count(b"\n") == 2 * 20_000 + 3 * 50 + 1 + 1
         assert peak < 2 * 1024 * 1024

@@ -47,7 +47,12 @@ from homeowheel.mechanism import (
 )
 from homeowheel.planner import count_engaged_sweeps, generate_gait, plan_rotation
 from homeowheel.tegument import check_integrity, ledger_from_state
-from reference import reference_trace_csv, reference_trace_rows, sample_rows
+from reference import (
+    reference_parse_trajectory,
+    reference_trace_csv,
+    reference_trace_rows,
+    sample_rows,
+)
 
 # Angles on a 1/8 deg grid: differences of grid values are exact, so an
 # interpolated sample never rounds past the segment's endpoints.
@@ -217,12 +222,51 @@ def unchecked_trajectories(draw):
     return Trajectory(draw(geometries()), trajectory.limits, tuple(waypoints))
 
 
-@settings(max_examples=200, deadline=None)
-@given(unchecked_trajectories(),
-       st.one_of(sample_rates, st.floats(min_value=0.01, max_value=200.0)))
-def test_streamed_trace_file_is_the_simulated_trace(trajectory, rate):
+# Move starts, with both zeros and an int zero, and deltas, tiny ones too.
+move_starts = st.sampled_from([0.0, -0.0, 0, 90.0, -90.0, 360.0])
+move_deltas = st.sampled_from([0.0, 5e-324, -5e-324, 90.0, -90.0, 360.0])
+durations = st.sampled_from([0.5, 1, 1.5])
+
+
+def zero_twin(state: ServoState) -> ServoState:
+    """``state`` with each zero of the other sign: equal under ``==``."""
+    return ServoState(*(v if v != 0 else 0.0 if math.copysign(1.0, v) < 0 else -0.0
+                        for v in state))
+
+
+@st.composite
+def repeated_moves(draw):
+    """A trajectory that repeats a few moves, and a sample rate. Each move of
+    the small alphabet also comes from its :func:`zero_twin`, so starts at
+    0.0, -0.0 and int 0 meet tiny deltas such as -5e-324 on equal-looking
+    segments. The trajectory walks the alphabet from t = 0.0, -0.0 or 0; at
+    the higher rates one segment spans several column blocks, or the
+    repeated shapes outgrow what the sampling loop keeps of them."""
+    moves = []
+    for _ in range(draw(st.integers(1, 2))):
+        start = ServoState(*(draw(move_starts) for _ in range(3)))
+        end = ServoState(*(a + d for a, d in zip(start, (draw(move_deltas) for _ in start))))
+        duration = draw(durations)
+        moves += [(start, end, duration), (zero_twin(start), end, duration)]
+    rate = draw(st.sampled_from([0.3, 7.0, 50.0, 2000.0, 4100.0]))
+    t = draw(st.sampled_from([0.0, -0.0, 0]))
+    waypoints = []
+    for _ in range(draw(st.integers(1, 2 if rate > 1000.0 else 6))):
+        start, end, duration = draw(st.sampled_from(moves))
+        waypoints += [Waypoint(t, start), Waypoint(t + duration, end)]
+        t += duration + draw(durations)
+    return Trajectory(waypoints=tuple(waypoints)), rate
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.tuples(unchecked_trajectories(),
+              st.one_of(sample_rates, st.floats(min_value=0.01, max_value=200.0))),
+    repeated_moves()))
+def test_streamed_trace_file_is_the_simulated_trace(case):
     # Both consumers of the one sampling loop, each against the row-at-a-time
     # reference.
+    trajectory, rate = case
     motion = analyse(trajectory, check=False)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
@@ -373,6 +417,52 @@ def parsed_or_rejected(parse, data) -> bool:
     except TrajectoryParseError:
         return False
     return True
+
+
+# JSON literals for a waypoint field: ints, non-numbers, non-finite values
+# and sums that overflow, which a faster waypoint parse could get wrong.
+WAYPOINT_LITERALS = ["0", "-0.0", "1", "true", "null", '"1.5"', "[]", "1e400", "-1e400",
+                     "5e-324", "1e308", "-1e308"]
+
+
+@st.composite
+def edited_waypoint_documents(draw):
+    """A valid trajectory document with waypoint objects edited in place: a
+    field set to one of :data:`WAYPOINT_LITERALS`, a key added or a field
+    dropped, as JSON text."""
+    doc = json.loads(draw(st.sampled_from(VALID_FILES)))
+    literals = []
+    for _ in range(draw(st.integers(0, 3))):
+        entry = draw(st.sampled_from(doc["waypoints"]))
+        action = draw(st.sampled_from(["set", "add", "drop"]))
+        if action == "drop" and entry:
+            del entry[draw(st.sampled_from(sorted(entry)))]
+            continue
+        key = draw(st.sampled_from(["t", "s1", "s2", "s3"] if action == "set"
+                                   else ["s4", "T", "t ", ""]))
+        entry[key] = f"@{len(literals)}@"
+        literals.append(draw(st.sampled_from(WAYPOINT_LITERALS)))
+    text = json.dumps(doc, indent=draw(st.sampled_from([None, 2])))
+    for k, literal in enumerate(literals):
+        text = text.replace(f'"@{k}@"', literal)
+    return text
+
+
+def parse_outcome(parse, data):
+    """What ``parse`` makes of ``data``: the ``repr`` of the trajectory (it
+    tells -0.0 from 0.0 and 1 from 1.0), or the error's text and place."""
+    try:
+        return repr(parse(data))
+    except TrajectoryParseError as exc:
+        return (str(exc), exc.location, exc.line, exc.column)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mutated_documents(), edited_waypoint_documents(), corrupted_bytes()))
+def test_parser_matches_the_per_field_reference(data):
+    outcome = parse_outcome(parse_trajectory, data)
+    event("parsed" if isinstance(outcome, str) else "rejected")
+    assert outcome == parse_outcome(reference_parse_trajectory, data)
 
 
 @pytest.fixture(scope="module")

@@ -70,7 +70,6 @@ from .tegument import (
     IntegrityViolation,
     TwistLedger,
     check_integrity,
-    ledger_from_state,
     ledger_history,
 )
 

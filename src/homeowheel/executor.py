@@ -6,10 +6,10 @@ computed once per segment from the waypoints by :func:`analyse`: a segment
 turns the wheel iff both endpoints sit in the same driving configuration,
 and then by exactly ``drive_sign * delta_s1``; its events are decided
 analytically; its range, rate and time-order violations are found in the
-same walk; and the twist certificate is read off the waypoints, where a
-linear path reaches its extremes. This keeps the canonical even-turn routine
-exact (720 deg per loop iteration) and makes every result independent of any
-sample rate. While disengaged the wheel is held, not freewheeling: the
+same walk, whose range test of the waypoints, where a linear path reaches its
+extremes, also gives the twist certificate. This keeps the canonical even-turn
+routine exact (720 deg per loop iteration) and makes every result independent
+of any sample rate. While disengaged the wheel is held, not freewheeling: the
 reconfiguration steps must not move it or the whole bookkeeping collapses.
 Dense samples exist only for the trace export: one sampling loop yields
 each segment's waypoint row and then its inner rows in column blocks, where
@@ -42,6 +42,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, repeat
+from operator import attrgetter, lt
 from pathlib import Path
 
 from .errors import InvalidParameter, TrajectoryParseError, ValidationFailure
@@ -58,7 +59,7 @@ from .mechanism import (
     validate_state,
 )
 from .records import record
-from .tegument import check_integrity, ledger_from_state
+from .tegument import SEGMENT_OF_SERVO, IntegrityReport, IntegrityViolation
 
 TRAJECTORY_FORMAT_VERSION = 1
 
@@ -84,6 +85,8 @@ _MAX_SHAFT_STEP = 90.0
 #: Most engaged sweeps :func:`homeowheel.planner.plan_rotation` plans
 #: (3.6e7 deg at the default span; about 3 waypoints per sweep).
 MAX_PLAN_SWEEPS = 100_000
+#: Least duration of a servo move of the canonical routine and of a plan, s.
+MOVE_S = 1.0
 #: Most waypoints :func:`build_rotate_wheel_2n` (6n + 5) and
 #: :func:`homeowheel.planner.generate_gait` (4 cycles + 1) build: about the
 #: size of the largest plan.
@@ -259,8 +262,27 @@ def segment_drive(start: ServoState, end: ServoState) -> int:
     return 0
 
 
-def build_rotate_wheel_2n(n: int, segment_duration: float = 1.0,
-                          geometry: MechanismGeometry = DEFAULT_GEOMETRY,
+def timed_waypoints(states: list[ServoState], limits: ServoLimits) -> list[Waypoint]:
+    """Waypoints through ``states`` from t = 0, each move taking :data:`MOVE_S`
+    or, where a servo would exceed its rate limit, the least time within it."""
+    times = [0.0]
+    for prev, state in zip(states, states[1:]):
+        times.append(times[-1] + max(MOVE_S, limits.move_time(prev, state)))
+    check_times(times)
+    return list(map(Waypoint, times, states))
+
+
+def check_times(times: list[float]) -> None:
+    """Raise InvalidParameter unless built waypoint times are finite and increasing:
+    extreme limits or periods can overflow a time or lose a step to rounding."""
+    if all(map(lt, times, times[1:])) and times[-1] < math.inf:
+        return
+    k = next(k for k in range(1, len(times)) if not times[k - 1] < times[k] < math.inf)
+    raise InvalidParameter(f"waypoint {k} would be at t={times[k]!r} after t={times[k - 1]!r}: "
+                           "waypoint times must be finite and increasing")
+
+
+def build_rotate_wheel_2n(n: int, geometry: MechanismGeometry = DEFAULT_GEOMETRY,
                           limits: ServoLimits = DEFAULT_LIMITS) -> Trajectory:
     """The canonical even-turn routine: 2n forward wheel revolutions.
 
@@ -269,18 +291,16 @@ def build_rotate_wheel_2n(n: int, segment_duration: float = 1.0,
     sweeps the shaft back down (wheel +360 again), and swaps back; finally
     return s3 and s2 to rest. One waypoint per servo move, in that exact
     order: 6n + 4 segments, ending at the home state with every twist back
-    at zero. Each move takes ``segment_duration``, stretched where a servo
-    would exceed its rate limit (1 s each under the default limits). More
-    than :data:`MAX_WAYPOINTS` waypoints, or limits that exclude the driving
-    configurations or s1 = 0 or 360, raise InvalidParameter.
+    at zero, timed by :func:`timed_waypoints` (1 s per move under the default
+    limits). More than :data:`MAX_WAYPOINTS` waypoints, limits that exclude
+    the driving configurations or s1 = 0 or 360, or times that stop
+    increasing raise InvalidParameter.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidParameter(f"n must be a positive integer, got {n!r}")
     if 6 * n + 5 > MAX_WAYPOINTS:
         raise InvalidParameter(f"n={n} needs {6 * n + 5} waypoints, "
                                f"more than MAX_WAYPOINTS ({MAX_WAYPOINTS})")
-    if not (math.isfinite(segment_duration) and segment_duration > 0.0):
-        raise InvalidParameter(f"segment_duration must be positive, got {segment_duration!r}")
     check_reachable(limits, full_sweep=True)
     states = [
         ServoState(0.0, 0.0, 0.0),
@@ -300,12 +320,7 @@ def build_rotate_wheel_2n(n: int, segment_duration: float = 1.0,
         ServoState(0.0, 90.0, 0.0),
         ServoState(0.0, 0.0, 0.0),
     ]
-    t = 0.0
-    waypoints = [Waypoint(t, states[0])]
-    for prev, state in zip(states, states[1:]):
-        t += max(segment_duration, limits.move_time(prev, state))
-        waypoints.append(Waypoint(t, state))
-    return Trajectory(geometry, limits, waypoints)
+    return Trajectory(geometry, limits, timed_waypoints(states, limits))
 
 
 # --------------------------------------------------------------------------
@@ -339,8 +354,9 @@ def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *,
     while the segment's (s2, s3) line passes within :data:`GIMBAL_TOL` of
     (0, 0), timed at the entry into that zone), one of each per offending
     segment, and every out-of-range waypoint; they are ordered by time, then
-    kind, then waypoint, servo and segment. The twist certificate checks the
-    waypoints only: a linear path reaches its extremes there.
+    kind, then waypoint, servo and segment. The twist certificate comes from
+    the range test of each waypoint servo, since a linear path reaches its
+    extremes at the waypoints and a tegument segment's twist is its servo's angle.
 
     ``violations`` lists every out-of-range waypoint servo, then per segment
     either a time-order violation or its rate excesses and, under the strict
@@ -367,6 +383,7 @@ def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *,
 
     events: list[TraceEvent] = []
     violations: list[Violation] = []
+    twist_violations: list[IntegrityViolation] = []
     out_of_range = []
     for index, wp in enumerate(waypoints):
         bad = validate_state(wp.state, limits)
@@ -374,6 +391,11 @@ def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *,
         for v in bad:
             events.append(TraceEvent(wp.t, EVENT_RANGE_VIOLATION, f"waypoint {index}: {v}"))
             violations.append(WaypointRangeViolation(index, v.servo, v.value, v.lo, v.hi))
+        if bad:  # the twist of a segment is its servo's angle
+            value_of = {v.servo: v.value for v in bad}
+            twist_violations += [IntegrityViolation(wp.t, segment, value_of[servo])
+                                 for servo, segment in SEGMENT_OF_SERVO.items()
+                                 if servo in value_of]
 
     theta = [0.0]
     drives: list[int] = []
@@ -414,8 +436,11 @@ def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *,
         if hard:
             raise ValidationFailure(hard)
     events.sort(key=lambda e: (e.t, e.kind))  # stable: emission order breaks ties
-    integrity = check_integrity([ledger_from_state(wp.state) for wp in waypoints],
-                                limits, [wp.t for wp in waypoints])
+    # As check_integrity: maxima from 0.0, never raised by a NaN, ints kept.
+    angle = {"servo1": attrgetter("state.s1"), "servo2": attrgetter("state.s2"),
+             "servo3": attrgetter("state.s3")}
+    integrity = IntegrityReport(tuple(max(chain((0.0,), map(abs, map(angle[servo], waypoints))))
+                                      for servo in SEGMENT_OF_SERVO), tuple(twist_violations))
     return Motion(trajectory, tuple(theta), tuple(drives), tuple(flags), tuple(events),
                   integrity, tuple(violations))
 

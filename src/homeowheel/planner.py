@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidParameter, RateInfeasible, ValidationFailure
-from .executor import MAX_PLAN_SWEEPS, MAX_WAYPOINTS, Trajectory, Waypoint, segment_drive
+from .executor import (MAX_PLAN_SWEEPS, MAX_WAYPOINTS, Trajectory, Waypoint, check_times,
+                       segment_drive, timed_waypoints)
 from .mechanism import (
     DEFAULT_GEOMETRY,
     DEFAULT_LIMITS,
@@ -36,35 +37,9 @@ FORWARD_CONFIG = (90.0, -90.0)
 BACKWARD_CONFIG = (-90.0, 90.0)
 
 
-class _Builder:
-    """Accumulates waypoints, stretching each move to respect rate limits."""
-
-    def __init__(self, start: ServoState, limits: ServoLimits, segment_duration: float):
-        self.limits = limits
-        self.segment_duration = segment_duration
-        self.t = 0.0
-        self.waypoints = [Waypoint(0.0, start)]
-
-    @property
-    def state(self) -> ServoState:
-        return self.waypoints[-1].state
-
-    def move(self, s1: float | None = None, s2: float | None = None,
-             s3: float | None = None) -> None:
-        prev = self.state
-        new = ServoState(prev.s1 if s1 is None else s1,
-                         prev.s2 if s2 is None else s2,
-                         prev.s3 if s3 is None else s3)
-        if new == prev:
-            return
-        self.t += max(self.segment_duration, self.limits.move_time(prev, new))
-        self.waypoints.append(Waypoint(self.t, new))
-
-
 def plan_rotation(target_deg: float, start: ServoState = HOME_STATE,
                   limits: ServoLimits = DEFAULT_LIMITS,
-                  geometry: MechanismGeometry = DEFAULT_GEOMETRY,
-                  segment_duration: float = 1.0) -> Trajectory:
+                  geometry: MechanismGeometry = DEFAULT_GEOMETRY) -> Trajectory:
     """Plan a net wheel rotation of ``target_deg`` (signed) from ``start``.
 
     The emitted trajectory passes strict validation and, replayed through
@@ -76,8 +51,6 @@ def plan_rotation(target_deg: float, start: ServoState = HOME_STATE,
     """
     if not math.isfinite(target_deg):
         raise InvalidParameter(f"target must be finite, got {target_deg!r}")
-    if not (math.isfinite(segment_duration) and segment_duration > 0.0):
-        raise InvalidParameter(f"segment_duration must be positive, got {segment_duration!r}")
     violations = validate_state(start, limits)
     if violations:
         raise ValidationFailure(violations)
@@ -89,7 +62,13 @@ def plan_rotation(target_deg: float, start: ServoState = HOME_STATE,
             raise InvalidParameter(f"target {target_deg!r} deg needs more than "
                                    f"{MAX_PLAN_SWEEPS} sweeps of the s1 span ({lo}, {hi})")
 
-    builder = _Builder(start, limits, segment_duration)
+    states = [start]
+
+    def move(**servos: float) -> None:
+        new = states[-1]._replace(**servos)
+        if new != states[-1]:
+            states.append(new)
+
     remaining = target_deg
     while remaining != 0.0:
         wheel_sign = 1.0 if remaining > 0.0 else -1.0
@@ -98,37 +77,35 @@ def plan_rotation(target_deg: float, start: ServoState = HOME_STATE,
         choices = []
         for config, coupling in ((FORWARD_CONFIG, 1.0), (BACKWARD_CONFIG, -1.0)):
             direction = wheel_sign * coupling
-            s1 = builder.state.s1
+            s1 = states[-1].s1
             available = (hi - s1) if direction > 0.0 else (s1 - lo)
             choices.append((available, config, direction))
         available, config, direction = max(choices, key=lambda c: c[0])
         sweep = min(abs(remaining), available)
         s2, s3 = config
-        if (builder.state.s2, builder.state.s3) != config:
-            builder.move(s3=s3)
-            builder.move(s2=s2)
-        builder.move(s1=builder.state.s1 + direction * sweep)
+        if (states[-1].s2, states[-1].s3) != config:
+            move(s3=s3)
+            move(s2=s2)
+        move(s1=states[-1].s1 + direction * sweep)
         remaining -= wheel_sign * sweep
 
-    if builder.state.s3 != 0.0:
-        builder.move(s3=0.0)
-    if builder.state.s2 != 0.0:
-        builder.move(s2=0.0)
+    if states[-1].s3 != 0.0:
+        move(s3=0.0)
+    if states[-1].s2 != 0.0:
+        move(s2=0.0)
     return Trajectory(geometry=geometry, limits=limits,
-                      waypoints=tuple(builder.waypoints))
+                      waypoints=timed_waypoints(states, limits))
 
 
 def plan_distance(distance_m: float, geometry: MechanismGeometry = DEFAULT_GEOMETRY,
                   start: ServoState = HOME_STATE,
-                  limits: ServoLimits = DEFAULT_LIMITS,
-                  segment_duration: float = 1.0) -> Trajectory:
+                  limits: ServoLimits = DEFAULT_LIMITS) -> Trajectory:
     """Plan a signed rolling distance via the rolling relation
     theta = distance / radius."""
     if not math.isfinite(distance_m):
         raise InvalidParameter(f"distance must be finite, got {distance_m!r}")
     target_deg = math.degrees(distance_m / geometry.wheel_radius)
-    return plan_rotation(target_deg, start=start, limits=limits,
-                         geometry=geometry, segment_duration=segment_duration)
+    return plan_rotation(target_deg, start=start, limits=limits, geometry=geometry)
 
 
 def generate_gait(period_s: float, cycles: int,
@@ -145,8 +122,9 @@ def generate_gait(period_s: float, cycles: int,
 
     Raises :class:`RateInfeasible` when the period cannot fit a 360 deg
     sweep at the shaft rate limit plus the 180 deg swap dwells, and
-    InvalidParameter when the 4 cycles + 1 waypoints exceed MAX_WAYPOINTS or
-    the limits exclude a driving configuration or s1 = 0 or 360.
+    InvalidParameter when the 4 cycles + 1 waypoints exceed MAX_WAYPOINTS,
+    the limits exclude a driving configuration or s1 = 0 or 360, or the
+    times stop increasing (see :func:`homeowheel.executor.check_times`).
     """
     if isinstance(cycles, bool) or not isinstance(cycles, int) or cycles < 1:
         raise InvalidParameter(f"cycles must be a positive integer, got {cycles!r}")
@@ -171,17 +149,15 @@ def generate_gait(period_s: float, cycles: int,
     up_end = ServoState(360.0, *FORWARD_CONFIG)
     down = ServoState(360.0, *BACKWARD_CONFIG)
     down_end = ServoState(0.0, *BACKWARD_CONFIG)
-    waypoints = []
+    times = []
     for k in range(cycles):
         base = k * period_s
-        waypoints += [
-            Waypoint(base, up),
-            Waypoint(base + t_sweep, up_end),
-            Waypoint(base + half, down),
-            Waypoint(base + half + t_sweep, down_end),
-        ]
-    waypoints.append(Waypoint(cycles * period_s, up))
-    return Trajectory(geometry=geometry, limits=limits, waypoints=tuple(waypoints))
+        times += (base, base + t_sweep, base + half, base + half + t_sweep)
+    times.append(cycles * period_s)
+    check_times(times)
+    states = [up, up_end, down, down_end] * cycles + [up]
+    return Trajectory(geometry=geometry, limits=limits,
+                      waypoints=list(map(Waypoint, times, states)))
 
 
 def count_engaged_sweeps(trajectory: Trajectory) -> int:

@@ -7,9 +7,9 @@ because it rotates rigidly with the hub. Servo angles never wrap, so the
 twist of a segment is the raw joint angle; for any trajectory that stays
 within the servo ranges every segment stays bounded and the membrane never
 tears. Over a piecewise-linear path the twist reaches its extremes at
-waypoints, so checking the waypoints certifies the whole path.
-:func:`ledger_history` lifts a sampled path continuously for callers that
-only have samples.
+waypoints, so :func:`homeowheel.executor.analyse` certifies the whole path
+from its range test of each waypoint servo; :func:`check_integrity`
+certifies a sampled path as :func:`ledger_history` lifts it.
 """
 
 from __future__ import annotations
@@ -20,10 +20,12 @@ from .mechanism import DEFAULT_LIMITS, ServoLimits, ServoState
 from .records import record
 from .rotations import unwrap_angle
 
-_SEGMENTS = ("seg_body_gantry", "seg_shaft_axial", "seg_wrist")
+#: The tegument segment spanning each servo's joint, in chain order.
+SEGMENT_OF_SERVO = {"servo2": "seg_body_gantry", "servo1": "seg_shaft_axial",
+                    "servo3": "seg_wrist"}
 
 
-class TwistLedger(record("TwistLedger", "seg_body_gantry seg_shaft_axial seg_wrist",
+class TwistLedger(record("TwistLedger", " ".join(SEGMENT_OF_SERVO.values()),
                          defaults=(0.0, 0.0, 0.0))):
     """Accumulated lifted twist of each tegument segment, degrees.
 
@@ -35,7 +37,7 @@ class TwistLedger(record("TwistLedger", "seg_body_gantry seg_shaft_axial seg_wri
 
 
 class IntegrityViolation(record("IntegrityViolation", "time segment value")):
-    """One sample whose lifted twist left its segment's allowed range."""
+    """One waypoint or sample whose twist left its segment's allowed range."""
 
     __slots__ = ()
 
@@ -57,17 +59,12 @@ class IntegrityReport(record("IntegrityReport", "max_abs_twist violations")):
         return not self.violations
 
 
-def ledger_from_state(state: ServoState) -> TwistLedger:
-    """Seed a ledger from an authored state: the lift is the raw angle."""
-    return TwistLedger(state.s2, state.s1, state.s3)
-
-
 def ledger_history(states: Iterable[ServoState],
                    initial: TwistLedger | None = None) -> list[TwistLedger]:
     """Ledger at every state of a sampled path.
 
-    Without ``initial`` the first state seeds the ledger directly (its
-    authored angles are the true twist); each later state is lifted near
+    Without ``initial`` the first state seeds the ledger with its raw angles
+    (its authored angles are the true twist); each later state is lifted near
     the running ledger, which requires every servo to change by less than
     180 deg per step. In-range states then lift to their raw angles exactly.
     """
@@ -75,7 +72,7 @@ def ledger_history(states: Iterable[ServoState],
     ledger = initial
     for state in states:
         if ledger is None:
-            ledger = ledger_from_state(state)
+            ledger = TwistLedger(state.s2, state.s1, state.s3)
         else:
             ledger = TwistLedger(unwrap_angle(ledger.seg_body_gantry, state.s2),
                                  unwrap_angle(ledger.seg_shaft_axial, state.s1),
@@ -87,7 +84,8 @@ def ledger_history(states: Iterable[ServoState],
 def check_integrity(ledgers: Sequence[TwistLedger],
                     limits: ServoLimits = DEFAULT_LIMITS,
                     times: Sequence[float] | None = None) -> IntegrityReport:
-    """Certify that every segment's twist stayed within its joint range.
+    """Certify that every segment's twist stayed within its joint range over
+    a sampled lift, such as :func:`ledger_history` gives.
 
     The twist bound of each segment is the range of the servo it spans.
     ``times`` labels the violations; sample indices are used when omitted.
@@ -98,7 +96,7 @@ def check_integrity(ledgers: Sequence[TwistLedger],
     violations: list[IntegrityViolation] = []
     for idx, ledger in enumerate(ledgers):
         t = times[idx] if times is not None else float(idx)
-        for seg_idx, (name, value) in enumerate(zip(_SEGMENTS, ledger)):
+        for seg_idx, (name, value) in enumerate(zip(TwistLedger._fields, ledger)):
             if abs(value) > maxima[seg_idx]:
                 maxima[seg_idx] = abs(value)
             lo, hi = bounds[seg_idx]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from homeowheel import executor, planner
+from homeowheel import executor, planner, tegument
 from homeowheel.cli import run
 from homeowheel.executor import (
     MAX_TRACE_SAMPLES,
@@ -194,6 +194,26 @@ class TestGaitCommand:
         assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("rates, argv", [
+    ({"s2": 1e-308}, ("simulate", "--n", "1")),       # t overflows to inf
+    ({"s2": 1e-300}, ("plan", "--target-deg", "10")),  # 1 s moves absorbed at t=9e+301
+    ({"s1": 1e300}, ("gait", "--period-s", "400", "--cycles", "2")),  # sweep absorbed at t=200
+    ({}, ("gait", "--period-s", "1e308", "--cycles", "2")),  # the last period overflows
+], ids=["simulate", "plan", "gait-sweep", "gait-period"])
+def test_waypoint_times_that_stop_increasing_are_a_usage_error(capsys, tmp_path, rates, argv):
+    # Accepted but extreme limits or periods make the builders' times stop
+    # increasing; the command says so in one line and writes nothing.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_rates_deg_per_s": rates}))
+    out = tmp_path / "out"
+    code, stdout, stderr = invoke(capsys, *argv, "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1
+    assert "waypoint times must be finite and increasing" in stderr
+    assert not out.exists()
+
+
 class TestCheckCommand:
     def _write(self, tmp_path, states, name="traj.json"):
         trajectory = Trajectory.from_states([ServoState(*s) for s in states])
@@ -262,6 +282,23 @@ class TestCheckCommand:
         assert code == 3
         assert stdout == ""
         assert f"unknown field {key!r} at $.waypoints[{index}].{key}" in stderr
+
+    @pytest.mark.parametrize("policy", ["strict", "lenient"])
+    def test_integrity_violations_print_in_chain_order(self, capsys, tmp_path, policy):
+        # Per waypoint: servo2's body-gantry segment, then servo1's shaft,
+        # then servo3's wrist, whatever order the servos are tested in.
+        path = self._write(tmp_path, [(0, 0, 0), (400, 95, -95), (-1, 0, 91), (0, 0, 0)])
+        code, stdout, _ = invoke(capsys, "check", str(path), "--policy", policy)
+        assert code == 1
+        assert [line for line in stdout.splitlines() if line.startswith("integrity_")] == [
+            "integrity_ok=0",
+            "integrity_violation=IntegrityViolation seg_body_gantry at t=1.0: twist 95.0 deg",
+            "integrity_violation=IntegrityViolation seg_shaft_axial at t=1.0: twist 400.0 deg",
+            "integrity_violation=IntegrityViolation seg_wrist at t=1.0: twist -95.0 deg",
+            "integrity_violation=IntegrityViolation seg_shaft_axial at t=2.0: twist -1.0 deg",
+            "integrity_violation=IntegrityViolation seg_wrist at t=2.0: twist 91.0 deg",
+        ]
+        assert "max_twist_shaft_axial_deg=400.000000000" in stdout.splitlines()
 
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         code, _, stderr = invoke(capsys, "check", str(tmp_path / "nope.json"))
@@ -449,8 +486,9 @@ class TestConfigAndDeterminism:
 
 
 def test_every_command_walks_the_trajectory_once(capsys, tmp_path, forbid):
-    # analyse finds the violations itself: with validate_trajectory forbidden
-    # in every module that binds it, each command prints what it did before.
+    # analyse finds the violations and the twist certificate itself: with
+    # validate_trajectory, check_integrity and TwistLedger forbidden in every
+    # module that binds them, each command prints what it did before.
     plan, bad = str(tmp_path / "plan.json"), str(tmp_path / "bad.json")
     write_trajectory_file(Trajectory(waypoints=(
         Waypoint(0.0, ServoState(0.0, 0.0, 0.0)), Waypoint(0.5, ServoState(400.0, 0.0, 0.0)),
@@ -465,11 +503,13 @@ def test_every_command_walks_the_trajectory_once(capsys, tmp_path, forbid):
     ]
     expected = [invoke(capsys, *argv) for argv in commands]
     assert [code for code, _, _ in expected] == [0, 0, 0, 0, 1, 1]
-    validate = executor.validate_trajectory
-    for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("homeowheel")
-                and getattr(module, "validate_trajectory", None) is validate):
-            forbid(module, "validate_trajectory")
+    for owner, name in ((executor, "validate_trajectory"), (tegument, "check_integrity"),
+                        (tegument, "TwistLedger")):
+        target = getattr(owner, name)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("homeowheel")
+                    and getattr(module, name, None) is target):
+                forbid(module, name)
     assert [invoke(capsys, *argv) for argv in commands] == expected
 
 

@@ -2,12 +2,13 @@
 
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from homeowheel import executor
+from homeowheel import executor, tegument
 from homeowheel.errors import InvalidParameter, TrajectoryParseError, ValidationFailure
 from homeowheel.executor import (
     EVENT_DISENGAGED_SHAFT_MOTION,
@@ -84,10 +85,6 @@ class TestBuildRotateWheel2n:
         for bad in (0, -1, 1.5, "2", True):
             with pytest.raises(InvalidParameter):
                 build_rotate_wheel_2n(bad)
-
-    def test_rejects_bad_duration(self):
-        with pytest.raises(InvalidParameter):
-            build_rotate_wheel_2n(1, segment_duration=0.0)
 
     def test_waypoint_cap_is_checked_in_closed_form(self, monkeypatch):
         # 6n + 5 waypoints: with the cap at 23, n = 3 is the largest routine.
@@ -381,6 +378,28 @@ class TestValidateTrajectory:
             assert calls.count("validate_state") == len(trajectory.waypoints)
             assert calls.count("segment_drive") == len(trajectory.waypoints) - 1
 
+    def test_twist_certificate_comes_from_the_range_test(self, forbid):
+        # analyse certifies the twist from its own range test of each
+        # waypoint servo: with check_integrity and TwistLedger forbidden in
+        # every module that binds them, it returns what it did before.
+        routine = build_rotate_wheel_2n(2)
+        bad = make_trajectory([(0, 0, 0), (400, 95, -95), (-1, 0, 91), (0, 0, 0)])
+        runs = [lambda: analyse(routine), lambda: analyse(routine, check=False),
+                lambda: analyse(routine, Policy.LENIENT),
+                lambda: analyse(bad, check=False),
+                lambda: analyse(bad, Policy.LENIENT, check=False)]
+        expected = [walk() for walk in runs]
+        assert not expected[3].integrity.ok
+        for name in ("check_integrity", "TwistLedger"):
+            target = getattr(tegument, name)
+            for module in list(sys.modules.values()):
+                if (getattr(module, "__name__", "").startswith("homeowheel")
+                        and getattr(module, name, None) is target):
+                    forbid(module, name)
+        assert [walk() for walk in runs] == expected
+        with pytest.raises(ValidationFailure):
+            analyse(bad)
+
 
 class TestTrajectoryFiles:
     def test_round_trip_preserves_everything(self, tmp_path):
@@ -630,12 +649,13 @@ class TestTraceExport:
         assert peak < 2 * 1024 * 1024
 
     def test_one_long_segment_streams_in_bounded_memory(self, tmp_path):
-        # One engaged 4,000 s sweep: 200,001 rows with the shaft, wheel angle
-        # and x_m varying; a block as long as the segment would take 25 MB.
-        trajectory = make_trajectory([(0, 90, -90), (360, 90, -90)], duration=4000.0)
+        # One engaged 400 s sweep: 20,001 rows, about five blocks, with the
+        # shaft, wheel angle and x_m varying; a block as long as the segment
+        # took about 7 MB.
+        trajectory = make_trajectory([(0, 90, -90), (360, 90, -90)], duration=400.0)
         path = tmp_path / "trace.csv"
         peak = self.peak_writing(analyse(trajectory), path)
-        assert path.read_bytes().count(b"\n") == 200_001 + 1
+        assert path.read_bytes().count(b"\n") == 20_001 + 1
         assert peak < 2 * 1024 * 1024
 
     def test_distinct_segment_shapes_stream_in_bounded_memory(self, tmp_path):

@@ -46,7 +46,7 @@ from homeowheel.mechanism import (
     validate_state,
 )
 from homeowheel.planner import count_engaged_sweeps, generate_gait, plan_rotation
-from homeowheel.tegument import check_integrity, ledger_from_state
+from homeowheel.tegument import TwistLedger, check_integrity
 from reference import (
     reference_parse_trajectory,
     reference_trace_csv,
@@ -112,7 +112,7 @@ def test_simulate_agrees_with_analyse_at_any_sample_rate(trajectory, rate_a, rat
         trace = simulate(trajectory, rate, check=False)
         assert trace.events == motion.events
         assert trace.final_theta_deg == motion.final_theta_deg
-        sampled = check_integrity([ledger_from_state(s) for s in trace.states()],
+        sampled = check_integrity([TwistLedger(s.s2, s.s1, s.s3) for s in trace.states()],
                                   trajectory.limits, trace.times())
         assert sampled.max_abs_twist == motion.integrity.max_abs_twist
         assert sampled.ok == motion.integrity.ok
@@ -293,6 +293,35 @@ def test_long_segment_with_negative_zero_columns_matches_the_reference(tmp_path)
     assert lines[1] == "0,-0,0,-0,0,0,0,0"
     assert lines[2] == "0.02,0,0.018,0,0,0,0,0"
     assert lines[-1] == "100,-0,90,-0,0,0,0,0"
+
+
+def with_odd_angles(trajectory: Trajectory, draw) -> Trajectory:
+    """``trajectory`` with some whole angles as ints and some angles
+    non-finite, which only a library caller can pass."""
+    def odd(v):
+        choice = draw(st.integers(0, 9))
+        if choice == 0 and v == int(v):
+            return int(v)
+        return draw(st.sampled_from([math.nan, math.inf, -math.inf])) if choice == 1 else v
+    return trajectory._replace(waypoints=tuple(
+        Waypoint(wp.t, ServoState(*map(odd, wp.state))) for wp in trajectory.waypoints))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(trajectories(), unchecked_trajectories()), st.data())
+def test_certificate_is_check_integrity_over_the_waypoints(trajectory, data):
+    # analyse's certificate, read off its range test, equals the sampled
+    # certificate of the raw-angle ledgers at the waypoints: the same
+    # violations in the same order, and maxima of the same values and types.
+    if data.draw(st.booleans()):
+        trajectory = with_odd_angles(trajectory, data.draw)
+    waypoints = trajectory.waypoints
+    reference = check_integrity([TwistLedger(wp.state.s2, wp.state.s1, wp.state.s3)
+                                 for wp in waypoints],
+                                trajectory.limits, [wp.t for wp in waypoints])
+    integrity = analyse(trajectory, check=False).integrity
+    assert integrity == reference
+    assert repr(integrity) == repr(reference)
 
 
 def reference_validate_trajectory(trajectory: Trajectory,

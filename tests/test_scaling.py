@@ -5,7 +5,7 @@ import math
 import pytest
 
 from homeowheel.errors import InvalidParameter, ZeroDistance
-from homeowheel.executor import Trajectory, analyse, build_rotate_wheel_2n
+from homeowheel.executor import Trajectory, Waypoint, analyse, build_rotate_wheel_2n
 from homeowheel.mechanism import MechanismGeometry, ServoState
 from homeowheel.scaling import ScalingModel, cost_of_transport, scale
 
@@ -88,8 +88,10 @@ class TestCostOfTransport:
         # The proxy depends on joint angles only, summed per segment, so
         # stretching all durations leaves it exactly unchanged.
         geometry = MechanismGeometry(wheel_radius=0.5)
-        fast = analyse(build_rotate_wheel_2n(1, segment_duration=1.0, geometry=geometry))
-        slow = analyse(build_rotate_wheel_2n(1, segment_duration=7.3, geometry=geometry))
+        routine = build_rotate_wheel_2n(1, geometry=geometry)
+        fast = analyse(routine)
+        slow = analyse(routine._replace(waypoints=tuple(
+            Waypoint(7.3 * wp.t, wp.state) for wp in routine.waypoints)))
         torques = (1.0, 0.7, 0.3)
         assert cost_of_transport(fast, torques, 2.0) == cost_of_transport(slow, torques, 2.0)
 

@@ -8,7 +8,6 @@ from homeowheel.tegument import (
     IntegrityReport,
     TwistLedger,
     check_integrity,
-    ledger_from_state,
     ledger_history,
 )
 
@@ -82,7 +81,8 @@ class TestLedgerHistory:
     def test_seeds_from_first_state(self):
         states = [ServoState(350.0, 10.0, -10.0), ServoState(340.0, 0.0, 0.0)]
         history = ledger_history(states)
-        assert history[0] == ledger_from_state(states[0])
+        first = states[0]
+        assert history[0] == TwistLedger(first.s2, first.s1, first.s3)
         assert history[0].seg_shaft_axial == 350.0
         assert history[1].seg_shaft_axial == 340.0
 

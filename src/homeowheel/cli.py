@@ -92,6 +92,18 @@ def _resolve_setup(args) -> tuple[MechanismGeometry, ServoLimits]:
         raise InvalidParameter(f"invalid config {args.config!r}: {exc}") from exc
 
 
+def _analyse(trajectory, policy):
+    """``analyse(trajectory, policy)``, whose odometry must stay in the float
+    range: |x_m| peaks at a waypoint, where |theta_wheel_deg| does."""
+    motion = analyse(trajectory, policy)
+    radius = trajectory.geometry.wheel_radius
+    peak = max(map(abs, motion.theta_deg))
+    if not math.isfinite(radius * math.radians(peak)):
+        raise InvalidParameter(f"wheel radius {radius!r} m puts x_m outside the float range "
+                               f"at theta_wheel_deg={peak!r}")
+    return motion
+
+
 def _print_twist_maxima(report) -> None:
     body_gantry, shaft_axial, wrist = report.max_abs_twist
     print(f"max_twist_body_gantry_deg={_fmt(body_gantry)}")
@@ -117,7 +129,7 @@ def _report_violations(violations) -> None:
 def cmd_simulate(args) -> int:
     geometry, limits = _resolve_setup(args)
     trajectory = build_rotate_wheel_2n(args.n, geometry=geometry, limits=limits)
-    motion = analyse(trajectory, args.policy)
+    motion = _analyse(trajectory, args.policy)
     if args.out:
         write_trace_file(motion, args.out, args.sample_rate_hz)
     if args.out_traj:
@@ -133,7 +145,7 @@ def cmd_plan(args) -> int:
         trajectory = plan_rotation(args.target_deg, limits=limits, geometry=geometry)
     else:
         trajectory = plan_distance(args.distance_m, geometry=geometry, limits=limits)
-    motion = analyse(trajectory, args.policy)
+    motion = _analyse(trajectory, args.policy)
     write_trajectory_file(trajectory, args.out)
     print(f"waypoints={len(trajectory.waypoints)}")
     print(f"segments={max(len(trajectory.waypoints) - 1, 0)}")
@@ -147,7 +159,7 @@ def cmd_plan(args) -> int:
 def cmd_gait(args) -> int:
     geometry, limits = _resolve_setup(args)
     trajectory = generate_gait(args.period_s, args.cycles, limits=limits, geometry=geometry)
-    motion = analyse(trajectory, args.policy)
+    motion = _analyse(trajectory, args.policy)
     write_trajectory_file(trajectory, args.out)
     print(f"waypoints={len(trajectory.waypoints)}")
     print(f"period_s={_fmt(args.period_s)}")

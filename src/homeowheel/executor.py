@@ -18,8 +18,11 @@ moves, so the loop keeps, per call, what a repeated segment shape gives
 besides its start time and wheel angle (the interpolated servo columns with
 their text, and the time and wheel-angle offsets), for shapes of one block
 and up to one block of rows in all. :func:`write_trace_file` formats only the
-time and wheel columns per row and streams the rows to disk; :func:`simulate`
-expands the blocks into :class:`TraceSample` objects.
+time and wheel columns per row and streams the rows to disk, a long trace in
+contiguous ranges of segments, one per usable CPU: forked workers format the
+later ranges into anonymous memory files, appended in order, so the bytes are
+those of one process. :func:`simulate` expands the blocks into
+:class:`TraceSample` objects.
 
 File formats (versioned, deterministic byte output):
 
@@ -39,9 +42,12 @@ from __future__ import annotations
 import enum
 import json
 import math
+import os
 import sys
+import threading
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import attrgetter, lt
 from pathlib import Path
 
@@ -94,8 +100,11 @@ MAX_WAYPOINTS = 300_000
 #: Most rows of the trace export (13x the 150,201 of ``simulate --n 500`` at
 #: 50 Hz). :func:`write_trace_file` streams them in column blocks of at most
 #: ``_CHUNK_ROWS`` rows, keeping at most ``_CHUNK_ROWS`` more of repeated
-#: segment shapes, in O(segments) memory, about 41 bytes of file per row
-#: (about 83 MB at the cap); :func:`simulate` holds them all.
+#: segment shapes, in O(segments) memory per process, about 41 bytes of file
+#: per row (about 83 MB at the cap). The text of its forked workers waits in
+#: anonymous memory files until it is appended: the file less the first
+#: part, about half of it on two CPUs (about 41 MB at the cap).
+#: :func:`simulate` holds every row.
 MAX_TRACE_SAMPLES = 2_000_000
 
 
@@ -504,10 +513,12 @@ def _shape_rows(subdivisions: int, first: int, stop: int, seg_dt: float, drive: 
     return ([seg_dt * alpha for alpha in alphas], *servos, turns, text)
 
 
-def _trace_blocks(motion: Motion, counts: list[int]) -> Iterator[tuple]:
-    """The trace of ``motion``, ``counts[i]`` rows on segment i, then the last
-    waypoint's row. The one sampling loop behind :func:`simulate` and
-    :func:`write_trace_file`.
+def _trace_blocks(motion: Motion, counts: list[int], start: int, stop: int
+                  ) -> Iterator[tuple]:
+    """The trace of segments ``start`` to ``stop - 1`` of ``motion``,
+    ``counts[i]`` rows on segment i, then, if ``stop`` is the last segment's
+    end, the last waypoint's row. The one sampling loop behind
+    :func:`simulate` and each part of :func:`write_trace_file`.
 
     Each segment gives its waypoint row ``(t, s1, s2, s3, theta_wheel_deg,
     x_m, engaged, event_flags)``, then its inner rows in column blocks of at
@@ -528,11 +539,13 @@ def _trace_blocks(motion: Motion, counts: list[int]) -> Iterator[tuple]:
     O(one block).
     """
     trajectory = motion.trajectory
+    waypoints = trajectory.waypoints
     radius = trajectory.geometry.wheel_radius
     radians = math.radians
     shapes: dict[tuple, tuple] = {}
     room = _CHUNK_ROWS
-    for (i, a, b), subdivisions in zip(trajectory.segments(), counts):
+    for i, a, b, subdivisions in zip(range(start, stop), waypoints[start:],
+                                     waypoints[start + 1:stop + 1], counts[start:stop]):
         t0, a1, a2, a3 = a.t, a.state.s1, a.state.s2, a.state.s3
         seg_dt = b.t - t0
         d_s1, d_s2, d_s3 = b.state.s1 - a1, b.state.s2 - a2, b.state.s3 - a3
@@ -562,10 +575,11 @@ def _trace_blocks(motion: Motion, counts: list[int]) -> Iterator[tuple]:
                 x = [radius * radians(th) for th in theta_now]
             yield ([t0 + offset for offset in offsets], s1, s2, s3, theta_now, x,
                    driving, flags, text)
-    last = trajectory.waypoints[-1]
-    yield (last.t, last.state.s1, last.state.s2, last.state.s3, motion.final_theta_deg,
-           motion.final_x_m, engaged(last.state),
-           motion.flags[-1] if motion.flags else 0)
+    if stop == len(counts):
+        last = waypoints[-1]
+        yield (last.t, last.state.s1, last.state.s2, last.state.s3, motion.final_theta_deg,
+               motion.final_x_m, engaged(last.state),
+               motion.flags[-1] if motion.flags else 0)
 
 
 def _block_rows(block: tuple) -> Iterable[tuple]:
@@ -595,7 +609,7 @@ def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
     """
     counts = _sample_counts(trajectory, sample_rate)
     motion = analyse(trajectory, check=check)
-    rows = chain.from_iterable(map(_block_rows, _trace_blocks(motion, counts)))
+    rows = chain.from_iterable(map(_block_rows, _trace_blocks(motion, counts, 0, len(counts))))
     samples = tuple(TraceSample(t, ServoState(s1, s2, s3), theta, x, is_engaged, flags)
                     for t, s1, s2, s3, theta, x, is_engaged, flags in rows)
     return SimTrace(samples, motion.events)
@@ -778,34 +792,150 @@ def read_trajectory_file(path) -> Trajectory:
 TRACE_HEADER = "t,s1,s2,s3,theta_wheel_deg,x_m,engaged,event_flags"
 _TRACE_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%d\n"
 # Most inner rows in one column block of _trace_blocks, and most rows of the
-# segment shapes it keeps: the memory of a trace export is about two blocks,
-# and it makes about two write() calls per segment.
+# segment shapes it keeps: the memory of a trace export is about two blocks
+# per process, and it makes about two write() calls per segment.
 _CHUNK_ROWS = 4096
+# Most processes that format one trace export: the caller and up to three
+# forked workers, one per usable CPU.
+_EXPORT_PROCESSES = 4
+# Fewest rows in each part of a split trace export; a part this size takes
+# about 20 ms to format, against about 1 ms to fork a worker for it.
+_MIN_PART_ROWS = 4 * _CHUNK_ROWS
+_CAN_SPLIT = all(hasattr(os, name) for name in ("fork", "memfd_create", "sendfile",
+                                                 "sched_getaffinity", "sched_setaffinity"))
+
+
+def _export_cpus() -> list[int]:
+    """The usable CPUs a trace export may be formatted on, or none: on a
+    platform that cannot fork a worker that writes to an anonymous memory
+    file, or while a second thread is alive, since a forked copy of this
+    process would hold whatever locks that thread held."""
+    if not _CAN_SPLIT or threading.active_count() > 1:
+        return []
+    return sorted(os.sched_getaffinity(0))
+
+
+def _export_parts(motion: Motion, counts: list[int], processes: int) -> list[int]:
+    """Segment bounds of the parts a trace export is formatted in: part k
+    holds segments ``bounds[k]`` to ``bounds[k + 1] - 1``.
+
+    There is one part per process, at most :data:`_EXPORT_PROCESSES`, of
+    about equal formatting cost: a row where the wheel turns formats three
+    floats (``t``, ``theta_wheel_deg`` and ``x_m``) and any other row one.
+    There are fewer parts where one would hold fewer than ``_MIN_PART_ROWS``
+    rows, and one, ``[0, len(counts)]``, where no two parts would."""
+    whole = [0, len(counts)]
+    wanted = min(processes, _EXPORT_PROCESSES, (sum(counts) + 1) // _MIN_PART_ROWS)
+    if wanted < 2:
+        return whole
+    waypoints = motion.trajectory.waypoints
+    rows = [0, *accumulate(counts)]
+    rows[-1] += 1  # the last waypoint's row
+    cost = [0, *accumulate(n * 3 if drive and a.state.s1 != b.state.s1 else n
+                           for n, drive, a, b in zip(counts, motion.drives, waypoints,
+                                                     waypoints[1:]))]
+    for parts in range(wanted, 1, -1):
+        bounds = [0, *(bisect_left(cost, cost[-1] * k / parts) for k in range(1, parts)),
+                  len(counts)]
+        if all(rows[stop] - rows[start] >= _MIN_PART_ROWS
+               for start, stop in zip(bounds, bounds[1:])):
+            return bounds
+    return whole
+
+
+def _write_rows(out, motion: Motion, counts: list[int], start: int, stop: int) -> None:
+    """Write the rows :func:`_trace_blocks` gives for segments ``start`` to
+    ``stop - 1`` to the text file ``out``, each formatted by ``_TRACE_ROW``.
+    The servo columns come formatted, once per repeated segment shape; each
+    block's constant wheel columns are formatted once, into the row template
+    of the block, so only ``t``, and ``theta_wheel_deg`` and ``x_m`` where
+    the wheel turns, are formatted per row."""
+    for block in _trace_blocks(motion, counts, start, stop):
+        if type(block[0]) is not list:
+            out.write(_TRACE_ROW % block)
+            continue
+        t, _, _, _, theta, x, driving, flags, servos = block
+        if type(theta) is list:
+            template, columns = "%.9g,%s,%.9g,%.9g,", (t, servos, theta, x)
+        else:
+            template, columns = "%%.9g,%%s,%.9g,%.9g," % (theta, x), (t, servos)
+        template += "%d,%d\n" % (driving, flags)
+        out.write("".join(map(template.__mod__, zip(*columns))))
+
+
+def _fork_part(part: int, cpu: int, motion: Motion, counts: list[int], start: int,
+               stop: int) -> int:
+    """Fork a worker that runs on ``cpu`` only and writes the rows of
+    segments ``start`` to ``stop - 1`` to the file descriptor ``part``;
+    returns its pid. The worker leaves only through ``os._exit``, with
+    status 0 once every row is written, so it never flushes the caller's
+    buffers or runs its exit handlers, and an exception in it never returns
+    into the caller's code."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.sched_setaffinity(0, (cpu,))
+            with open(part, "w", encoding="utf-8", closefd=False) as text:
+                _write_rows(text, motion, counts, start, stop)
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
 
 
 def write_trace_file(motion: Motion, path, sample_rate: float = 50.0) -> None:
     """Write the trace of ``motion`` at ``sample_rate``: the header row, then
     each row of :func:`simulate`'s samples formatted by ``_TRACE_ROW``,
     streamed to the file a column block at a time, so memory stays
-    O(segments) at any sample count. The servo columns come formatted from
-    :func:`_trace_blocks`, once per repeated segment shape; each block's
-    constant wheel columns are formatted once, into the row template of the
-    block, so only ``t``, and ``theta_wheel_deg`` and ``x_m`` where the wheel
-    turns, are formatted per row.
-    The sample count is checked before the file is opened, so a rejected
-    trace leaves ``path`` untouched."""
+    O(segments) at any sample count.
+
+    A long trace is formatted in parts, one per usable CPU (see
+    :func:`_export_parts`): this process streams the first part to the file
+    while a forked worker per later part writes it to an anonymous memory
+    file, which is appended in order once the worker has exited with status
+    0. The bytes are those of the serial export. Each process runs on a CPU
+    of its own until the export ends: left to the scheduler, a worker can
+    share its parent's CPU for the whole export. A worker that fails raises
+    OSError; on any error every worker still running is killed, and every
+    worker is reaped before this returns or raises.
+
+    The sample count is checked before the file is opened, and the file is
+    opened before any worker starts, so a rejected trace leaves ``path``
+    untouched and an unwritable path starts no worker."""
     counts = _sample_counts(motion.trajectory, sample_rate)
-    blocks = _trace_blocks(motion, counts)
+    cpus = _export_cpus()
+    bounds = _export_parts(motion, counts, len(cpus))
+    pinned = len(bounds) > 2
     with Path(path).open("w", encoding="utf-8") as out:
         out.write(TRACE_HEADER + "\n")
-        for block in blocks:
-            if type(block[0]) is not list:
-                out.write(_TRACE_ROW % block)
-                continue
-            t, _, _, _, theta, x, driving, flags, servos = block
-            if type(theta) is list:
-                template, columns = "%.9g,%s,%.9g,%.9g,", (t, servos, theta, x)
-            else:
-                template, columns = "%%.9g,%%s,%.9g,%.9g," % (theta, x), (t, servos)
-            template += "%d,%d\n" % (driving, flags)
-            out.write("".join(map(template.__mod__, zip(*columns))))
+        parts: list[int] = []
+        running: list[int] = []
+        try:
+            if pinned:
+                os.sched_setaffinity(0, cpus[:1])
+            for cpu, start, stop in zip(cpus[1:], bounds[1:], bounds[2:]):
+                parts.append(os.memfd_create("trace-part", os.MFD_CLOEXEC))
+                running.append(_fork_part(parts[-1], cpu, motion, counts, start, stop))
+            _write_rows(out, motion, counts, bounds[0], bounds[1])
+            out.flush()
+            for part in parts:
+                _, status = os.waitpid(running[0], 0)
+                del running[0]
+                if status:
+                    raise OSError(f"trace export worker failed with exit status "
+                                  f"{os.waitstatus_to_exitcode(status)}")
+                size = os.fstat(part).st_size
+                sent = 0
+                while sent < size:
+                    sent += os.sendfile(out.fileno(), part, sent, size - sent)
+        finally:
+            if running:
+                from signal import SIGKILL  # only on this error path: its import takes 1 ms
+                for pid in running:
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+            for part in parts:
+                os.close(part)
+            if pinned:
+                os.sched_setaffinity(0, cpus)

@@ -16,6 +16,7 @@ from homeowheel.executor import (
     MAX_WAYPOINTS,
     Trajectory,
     Waypoint,
+    build_rotate_wheel_2n,
     read_trajectory_file,
     write_trajectory_file,
 )
@@ -212,6 +213,38 @@ def test_waypoint_times_that_stop_increasing_are_a_usage_error(capsys, tmp_path,
     assert len(stderr.splitlines()) == 1
     assert "waypoint times must be finite and increasing" in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, peak_deg", [
+    (("simulate", "--n", "1", "--radius-m", "1e308"), 720.0),
+    (("simulate", "--n", "1", "--config", "CONFIG"), 720.0),
+    (("gait", "--period-s", "4", "--cycles", "2", "--radius-m", "1e308"), 1440.0),
+    (("plan", "--target-deg", "7200", "--radius-m", "1e308"), 7200.0),
+], ids=["simulate", "simulate-config", "gait", "plan"])
+def test_odometry_outside_the_float_range_is_a_usage_error(capsys, tmp_path, argv, peak_deg):
+    # 1e308 m * radians(720) overflows: the command printed x_m=inf, wrote
+    # inf into the trace and exited 0. Now it says so and writes nothing.
+    config = tmp_path / "config.json"
+    config.write_text('{"wheel_radius_m": 1e308}')
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    out, traj = tmp_path / "out", tmp_path / "traj.json"
+    if argv[0] == "simulate":
+        argv += ["--out-traj", str(traj)]
+    code, stdout, stderr = invoke(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.splitlines() == [
+        "homeowheel: error: wheel radius 1e+308 m puts x_m outside the float range "
+        f"at theta_wheel_deg={peak_deg!r}"]
+    assert not out.exists() and not traj.exists()
+
+
+def test_check_prints_no_odometry_so_any_radius_passes(capsys, tmp_path):
+    trajectory = build_rotate_wheel_2n(1, MechanismGeometry(wheel_radius=1e308))
+    path = tmp_path / "routine.json"
+    write_trajectory_file(trajectory, path)
+    code, stdout, stderr = invoke(capsys, "check", str(path))
+    assert code == 0 and stderr == "" and "ok=1" in stdout
 
 
 class TestCheckCommand:

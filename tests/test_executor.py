@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from homeowheel import executor, tegument
+from homeowheel.cli import run
 from homeowheel.errors import InvalidParameter, TrajectoryParseError, ValidationFailure
 from homeowheel.executor import (
     EVENT_DISENGAGED_SHAFT_MOTION,
@@ -679,3 +683,121 @@ class TestTraceExport:
         peak = self.peak_writing(analyse(trajectory, Policy.LENIENT), path)
         assert path.read_bytes().count(b"\n") == 2 * 20_000 + 3 * 50 + 1 + 1
         assert peak < 2 * 1024 * 1024
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitExport:
+    """The trace export in parts, the later ones written by forked workers."""
+
+    def test_the_37_hz_golden_export_is_split(self, tmp_path, split_export):
+        # The routine of the 37 Hz export golden: 44,589 rows, two parts of
+        # at least the package's least part size.
+        motion = analyse(build_rotate_wheel_2n(200, MechanismGeometry(wheel_radius=0.37)))
+        path = tmp_path / "trace.csv"
+        with split_export(2, None) as seen:
+            write_trace_file(motion, path, 37.0)
+        assert len(seen.forked) == 1
+        assert path.read_bytes() == reference_trace_csv(motion, 37.0)
+        assert_no_children()
+
+    def test_the_caller_keeps_its_cpus(self, tmp_path):
+        # On a machine with two usable CPUs or more the export pins this
+        # process to one of them while its workers run.
+        cpus = os.sched_getaffinity(0)
+        write_trace_file(analyse(build_rotate_wheel_2n(200)), tmp_path / "trace.csv", 37.0)
+        assert os.sched_getaffinity(0) == cpus
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus, parts", [(2, 2), (3, 3), (4, 4), (8, 4)])
+    def test_one_part_per_usable_cpu_up_to_the_cap(self, tmp_path, split_export, cpus, parts):
+        motion = analyse(build_rotate_wheel_2n(3))
+        path = tmp_path / "trace.csv"
+        with split_export(cpus) as seen:
+            write_trace_file(motion, path, 50.0)
+        assert len(seen.forked) == parts - 1
+        # Pinned to the first CPU while the workers run, then unpinned.
+        assert seen.pins == [{0}, set(range(cpus))]
+        assert path.read_bytes() == reference_trace_csv(motion, 50.0)
+        assert_no_children()
+
+    @staticmethod
+    def worker_does(monkeypatch, action):
+        """Make each worker call ``action()`` before it writes its part."""
+        write_rows = executor._write_rows
+
+        def write(out, motion, counts, start, stop):
+            if start > 0:
+                action()
+            write_rows(out, motion, counts, start, stop)
+        monkeypatch.setattr(executor, "_write_rows", write)
+
+    def test_a_failing_worker_is_an_oserror_and_a_usage_error(
+            self, capsys, tmp_path, monkeypatch, split_export):
+        def fail():
+            raise RuntimeError("worker fault")
+        self.worker_does(monkeypatch, fail)
+        with split_export(2) as seen:
+            with pytest.raises(OSError, match="worker failed with exit status 1"):
+                write_trace_file(analyse(build_rotate_wheel_2n(3)), tmp_path / "a.csv")
+            code = run(["simulate", "--n", "3", "--out", str(tmp_path / "b.csv")])
+        assert len(seen.forked) == 2
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "homeowheel: error: trace export worker failed with exit status 1"]
+        assert_no_children()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_a_write_error_kills_and_reaps_the_worker(self, capsys, monkeypatch, split_export):
+        # The worker would take a minute; writing the first part to a full
+        # device fails, and the export ends at once, its worker killed.
+        self.worker_does(monkeypatch, lambda: time.sleep(60))
+        began = time.monotonic()
+        with split_export(2) as seen:
+            code = run(["simulate", "--n", "20", "--out", "/dev/full"])
+        assert time.monotonic() - began < 30
+        assert len(seen.forked) == 1
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "No space left" in captured.err
+        assert_no_children()
+
+    def test_one_cpu_or_a_second_thread_never_forks(self, tmp_path, split_export, forbid):
+        motion = analyse(build_rotate_wheel_2n(3))
+        path = tmp_path / "trace.csv"
+        forbid(os, "fork")
+        with split_export(1):
+            write_trace_file(motion, path, 50.0)
+        assert path.read_bytes() == reference_trace_csv(motion, 50.0)
+        path.unlink()
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with split_export(4):
+                write_trace_file(motion, path, 50.0)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert path.read_bytes() == reference_trace_csv(motion, 50.0)
+        assert_no_children()
+
+    def test_rejected_traces_fork_nothing(self, tmp_path, split_export, forbid):
+        # Over the sample cap the file is left alone; an unwritable path
+        # fails when it is opened, before any worker would start.
+        motion = analyse(build_rotate_wheel_2n(3))
+        path = tmp_path / "trace.csv"
+        path.write_text("kept\n")
+        forbid(os, "fork")
+        with split_export(4):
+            with pytest.raises(InvalidParameter, match="MAX_TRACE_SAMPLES"):
+                write_trace_file(motion, path, 1e9)
+            with pytest.raises(FileNotFoundError):
+                write_trace_file(motion, tmp_path / "missing" / "trace.csv", 50.0)
+        assert path.read_text() == "kept\n"
+        assert_no_children()

@@ -5,11 +5,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from homeowheel.cli import run
@@ -293,6 +294,30 @@ def test_long_segment_with_negative_zero_columns_matches_the_reference(tmp_path)
     assert lines[1] == "0,-0,0,-0,0,0,0,0"
     assert lines[2] == "0.02,0,0.018,0,0,0,0,0"
     assert lines[-1] == "100,-0,90,-0,0,0,0,0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(trajectories(), sample_rates), repeated_moves()))
+@example((Trajectory(waypoints=(Waypoint(0.0, ServoState(0.0, 90.0, -90.0)),
+                                Waypoint(400.0, ServoState(360.0, 90.0, -90.0)))), 50.0))
+def test_split_trace_file_is_the_serial_trace(split_export, case):
+    # The export on 1, 2 and 3 CPUs, in parts of as few as one row, the later
+    # ones written by forked workers, against the row-at-a-time reference.
+    # Parts are whole segments, so one long segment stays serial.
+    trajectory, rate = case
+    motion = analyse(trajectory, check=False)
+    expected = reference_trace_csv(motion, rate)
+    segments = len(trajectory.waypoints) - 1
+    for cpus in (1, 2, 3):
+        with split_export(cpus) as seen, tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            write_trace_file(motion, path, rate)
+            written = path.read_bytes()
+        event(f"{cpus} CPUs: {len(seen.forked) + 1} parts")
+        assert written == expected
+        assert len(seen.forked) < max(min(cpus, segments), 1)
+        with pytest.raises(ChildProcessError):  # every worker reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 def with_odd_angles(trajectory: Trajectory, draw) -> Trajectory:

@@ -4,6 +4,10 @@ Subcommands: ``simulate`` (canonical even-turn routine), ``plan`` (arbitrary
 rotation or distance), ``gait`` (periodic rectification gait), ``check``
 (trajectory file verification), ``scale`` (size scaling report).
 
+Each command imports the modules it runs when it runs, and looks up the
+functions it calls in the module that defines them, so a command compiles
+none of the others and a function rebound there is the one called.
+
 Summaries go to standard output as ``key=value`` lines with 9 fixed decimal
 places, so identical invocations produce byte-identical output, files
 included. Exit codes: 0 clean, 1 constraint or feasibility failure, 2 usage
@@ -15,7 +19,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from pathlib import Path
 
 from .errors import (
     InvalidParameter,
@@ -23,18 +26,6 @@ from .errors import (
     TrajectoryParseError,
     ValidationFailure,
 )
-from .executor import (
-    Policy,
-    analyse,
-    build_rotate_wheel_2n,
-    parse_config,
-    read_trajectory_file,
-    write_trace_file,
-    write_trajectory_file,
-)
-from .mechanism import MechanismGeometry, ServoLimits
-from .planner import count_engaged_sweeps, generate_gait, plan_distance, plan_rotation
-from .scaling import ScalingModel, scale
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -76,6 +67,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _policy(text: str) -> str:
+    """``--policy`` as its text; ``executor.Policy`` takes it after parsing,
+    so building the parser loads no executor."""
+    if text not in ("strict", "lenient"):
+        raise argparse.ArgumentTypeError(f"invalid Policy value: {text!r}")
+    return text
+
+
 def _length_list(text: str) -> list[float]:
     items = [piece for piece in text.split(",") if piece.strip()]
     if not items:
@@ -84,18 +83,25 @@ def _length_list(text: str) -> list[float]:
 
 
 def _resolve_setup(args) -> tuple[MechanismGeometry, ServoLimits]:
-    """Defaults, overridden by --config, overridden by explicit flags."""
+    """Geometry and limits: defaults, overridden by --config, overridden by
+    explicit flags."""
+    from pathlib import Path
+
+    from . import fileformat
+
     try:
         text = b"{}" if args.config is None else Path(args.config).read_bytes()
-        return parse_config(text, {"wheel_radius": args.radius_m})
+        return fileformat.parse_config(text, {"wheel_radius": args.radius_m})
     except (OSError, TrajectoryParseError) as exc:
         raise InvalidParameter(f"invalid config {args.config!r}: {exc}") from exc
 
 
-def _analyse(trajectory, policy):
-    """``analyse(trajectory, policy)``, whose odometry must stay in the float
-    range: |x_m| peaks at a waypoint, where |theta_wheel_deg| does."""
-    motion = analyse(trajectory, policy)
+def _analyse(trajectory, policy: str):
+    """``analyse(trajectory, Policy(policy))``, whose odometry must stay in
+    the float range: |x_m| peaks at a waypoint, where |theta_wheel_deg| does."""
+    from . import executor
+
+    motion = executor.analyse(trajectory, executor.Policy(policy))
     radius = trajectory.geometry.wheel_radius
     peak = max(map(abs, motion.theta_deg))
     if not math.isfinite(radius * math.radians(peak)):
@@ -127,29 +133,35 @@ def _report_violations(violations) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from . import executor, fileformat
+
     geometry, limits = _resolve_setup(args)
-    trajectory = build_rotate_wheel_2n(args.n, geometry=geometry, limits=limits)
+    trajectory = executor.build_rotate_wheel_2n(args.n, geometry=geometry, limits=limits)
     motion = _analyse(trajectory, args.policy)
-    if args.out:
-        write_trace_file(motion, args.out, args.sample_rate_hz)
-    if args.out_traj:
-        write_trajectory_file(trajectory, args.out_traj)
+    with fileformat.Outputs() as outputs:  # both files, or neither
+        if args.out:
+            from . import trace
+            trace.write_trace_file(motion, outputs.stage(args.out), args.sample_rate_hz)
+        if args.out_traj:
+            fileformat.write_trajectory_file(trajectory, outputs.stage(args.out_traj))
     _print_motion_summary(motion)
     _report_violations(motion.violations)
     return EXIT_OK if not motion.violations else EXIT_VIOLATION
 
 
 def cmd_plan(args) -> int:
+    from . import fileformat, planner
+
     geometry, limits = _resolve_setup(args)
     if args.target_deg is not None:
-        trajectory = plan_rotation(args.target_deg, limits=limits, geometry=geometry)
+        trajectory = planner.plan_rotation(args.target_deg, limits=limits, geometry=geometry)
     else:
-        trajectory = plan_distance(args.distance_m, geometry=geometry, limits=limits)
+        trajectory = planner.plan_distance(args.distance_m, geometry=geometry, limits=limits)
     motion = _analyse(trajectory, args.policy)
-    write_trajectory_file(trajectory, args.out)
+    fileformat.write_trajectory_file(trajectory, args.out)
     print(f"waypoints={len(trajectory.waypoints)}")
     print(f"segments={max(len(trajectory.waypoints) - 1, 0)}")
-    print(f"engaged_sweeps={count_engaged_sweeps(trajectory)}")
+    print(f"engaged_sweeps={planner.count_engaged_sweeps(trajectory)}")
     print(f"predicted_theta_wheel_deg={_fmt(motion.final_theta_deg)}")
     print(f"predicted_x_m={_fmt(motion.final_x_m)}")
     _report_violations(motion.violations)
@@ -157,10 +169,13 @@ def cmd_plan(args) -> int:
 
 
 def cmd_gait(args) -> int:
+    from . import fileformat, planner
+
     geometry, limits = _resolve_setup(args)
-    trajectory = generate_gait(args.period_s, args.cycles, limits=limits, geometry=geometry)
+    trajectory = planner.generate_gait(args.period_s, args.cycles, limits=limits,
+                                       geometry=geometry)
     motion = _analyse(trajectory, args.policy)
-    write_trajectory_file(trajectory, args.out)
+    fileformat.write_trajectory_file(trajectory, args.out)
     print(f"waypoints={len(trajectory.waypoints)}")
     print(f"period_s={_fmt(args.period_s)}")
     print(f"cycles={args.cycles}")
@@ -170,8 +185,10 @@ def cmd_gait(args) -> int:
 
 
 def cmd_check(args) -> int:
-    trajectory = read_trajectory_file(args.trajectory)
-    motion = analyse(trajectory, args.policy, check=False)
+    from . import executor, fileformat
+
+    trajectory = fileformat.read_trajectory_file(args.trajectory)
+    motion = executor.analyse(trajectory, executor.Policy(args.policy), check=False)
     report = motion.integrity
     _report_violations(motion.violations)
     print(f"integrity_ok={int(report.ok)}")
@@ -188,9 +205,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_scale(args) -> int:
-    model = ScalingModel(length_ref=args.ref_length_m, mass_ref=args.ref_mass_kg,
-                         force_ref=args.ref_force_n)
-    rows = [(length, scale(model, length)) for length in args.lengths_m]
+    from . import scaling
+
+    model = scaling.ScalingModel(length_ref=args.ref_length_m, mass_ref=args.ref_mass_kg,
+                                 force_ref=args.ref_force_n)
+    rows = [(length, scaling.scale(model, length)) for length in args.lengths_m]
     for length, row in rows:
         print(f"L_m={_fmt(length)} mass_kg={_fmt(row.mass_kg)} "
               f"force_n={_fmt(row.force_n)} accel_m_s2={_fmt(row.accel_m_s2)}")
@@ -207,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_setup=True):
-        p.add_argument("--policy", type=Policy, choices=list(Policy), default=Policy.STRICT,
-                       metavar="strict|lenient",
+        p.add_argument("--policy", type=_policy, default="strict", metavar="strict|lenient",
                        help="strict rejects disengaged shaft motion (default strict)")
         if with_setup:
             p.add_argument("--config", default=None,

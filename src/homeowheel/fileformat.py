@@ -1,0 +1,298 @@
+"""The trajectory file format, its parser, configs, and all-or-nothing output.
+
+* Trajectory file: JSON with a header (format_version, wheel radius, link
+  lengths, servo ranges, max rates) and a ``waypoints`` array of
+  ``{t, s1, s2, s3}`` objects. Angles in degrees, time in seconds, exact
+  decimal text, every number finite. :func:`_header` builds the header and
+  :func:`_parse_header` reads it back; the geometry field-to-key table
+  drives both directions.
+* Config (:func:`parse_config`): any subset of the header keys, same parser.
+  A key outside the format is an error in either.
+
+Every artefact is written through :class:`Outputs`: a temporary file beside
+the target, moved over it only once the whole file is written, so a failed
+write leaves the old file as it was. The trace export of
+:mod:`homeowheel.trace` uses it too.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import stat
+import sys
+from itertools import chain
+from pathlib import Path
+
+from .errors import InvalidParameter, TrajectoryParseError
+from .executor import Trajectory, Waypoint
+from .mechanism import (
+    DEFAULT_GEOMETRY,
+    DEFAULT_LIMITS,
+    MechanismGeometry,
+    ServoLimits,
+    ServoState,
+)
+
+TRAJECTORY_FORMAT_VERSION = 1
+
+# Header key of each MechanismGeometry field, in file order.
+_GEOMETRY_KEYS = {"wheel_radius": "wheel_radius_m", "gantry_offset": "gantry_offset_m",
+                  "upper_link_length": "upper_link_length_m",
+                  "lower_link_length": "lower_link_length_m"}
+_SERVOS = ("s1", "s2", "s3")
+_WAYPOINT_KEYS = frozenset(("t", *_SERVOS))
+# Top-level keys of the trajectory file format; a config may hold any of them.
+_FORMAT_KEYS = frozenset(("format_version", *_GEOMETRY_KEYS.values(), "servo_ranges_deg",
+                          "max_rates_deg_per_s", "waypoints"))
+_FLOAT_MAX = sys.float_info.max
+
+
+def _header(geometry: MechanismGeometry, limits: ServoLimits) -> dict:
+    """The header of the trajectory file format, in file order."""
+    return {
+        "format_version": TRAJECTORY_FORMAT_VERSION,
+        **{key: getattr(geometry, field) for field, key in _GEOMETRY_KEYS.items()},
+        "servo_ranges_deg": {s: list(limits.range_of(s)) for s in _SERVOS},
+        "max_rates_deg_per_s": {s: limits.rate_of(s) for s in _SERVOS},
+    }
+
+
+# One waypoint of the trajectory file as ``json.dumps(..., indent=2)`` lays it
+# out, for finite floats, which json writes as their repr.
+_WAYPOINT_JSON = '\n    {\n      "t": %r,\n      "s1": %r,\n      "s2": %r,\n      "s3": %r\n    }'
+
+
+def trajectory_to_json(trajectory: Trajectory) -> str:
+    """Serialize to the versioned trajectory file format (deterministic bytes):
+    ``json.dumps`` of the header and the waypoints with ``indent=2``."""
+    doc = _header(trajectory.geometry, trajectory.limits)
+    rows = [(t, *state) for t, state in trajectory.waypoints]
+    values = list(chain.from_iterable(rows))
+    if rows and set(map(type, values)) == {float} and all(map(math.isfinite, values)):
+        frame = json.dumps(doc, indent=2)
+        return (frame[:-2] + ',\n  "waypoints": ['
+                + ",".join(map(_WAYPOINT_JSON.__mod__, rows)) + "\n  ]\n}\n")
+    # json writes ints, bools and non-finite floats in its own way.
+    doc["waypoints"] = [{"t": t, "s1": s1, "s2": s2, "s3": s3} for t, s1, s2, s3 in rows]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def write_trajectory_file(trajectory: Trajectory, path) -> None:
+    """Write :func:`trajectory_to_json` to ``path``, all or nothing."""
+    text = trajectory_to_json(trajectory)
+    with Outputs() as outputs, outputs.open(path) as out:
+        out.write(text)
+
+
+def _load_object(text: str | bytes) -> dict:
+    """The lexical layer shared by trajectory files and configs: a UTF-8 JSON
+    object without NaN or Infinity."""
+    def reject_constant(name: str):
+        raise TrajectoryParseError(f"non-finite number {name!r} is not allowed")
+
+    try:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text,
+                         parse_constant=reject_constant)
+    except json.JSONDecodeError as exc:
+        raise TrajectoryParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, huge integer, deep nesting
+        raise TrajectoryParseError(f"unreadable JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise TrajectoryParseError("top level must be an object", location="$")
+    return doc
+
+
+def _number(value, key: str, location: str) -> float:
+    # abs(value) <= max also rejects inf, NaN and integers beyond the float range.
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and abs(value) <= _FLOAT_MAX):
+        raise TrajectoryParseError(f"field {key!r} must be a finite number",
+                                   location=f"{location}.{key}")
+    return float(value)
+
+
+def _require(obj: dict, key: str, kind, location: str):
+    if key not in obj:
+        raise TrajectoryParseError(f"missing required field {key!r}", location=location)
+    value = obj[key]
+    if kind is float:
+        return _number(value, key, location)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TrajectoryParseError(f"field {key!r} has the wrong type",
+                                   location=f"{location}.{key}")
+    return value
+
+
+def _known_keys(obj: dict, keys, location: str) -> dict:
+    """``obj``, once every key of it is one of ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise TrajectoryParseError(f"unknown field {key!r}", location=f"{location}.{key}")
+    return obj
+
+
+def _pair(obj: dict, key: str, location: str) -> tuple[float, float]:
+    value = _require(obj, key, list, location)
+    if len(value) != 2:
+        raise TrajectoryParseError(f"field {key!r} must be a [min, max] pair",
+                                   location=f"{location}.{key}")
+    return (_number(value[0], key, location), _number(value[1], key, location))
+
+
+def _parse_header(doc: dict, location: str) -> tuple[MechanismGeometry, ServoLimits]:
+    """Geometry and limits from the header keys of ``doc``, all required.
+    A key outside the format, at the top level or per servo, is an error."""
+    _known_keys(doc, _FORMAT_KEYS, location)
+    try:
+        geometry = MechanismGeometry(**{field: _require(doc, key, float, location)
+                                        for field, key in _GEOMETRY_KEYS.items()})
+        ranges = _known_keys(_require(doc, "servo_ranges_deg", dict, location), _SERVOS,
+                             f"{location}.servo_ranges_deg")
+        rates = _known_keys(_require(doc, "max_rates_deg_per_s", dict, location), _SERVOS,
+                            f"{location}.max_rates_deg_per_s")
+        limits = ServoLimits(
+            *(_pair(ranges, s, f"{location}.servo_ranges_deg") for s in _SERVOS),
+            *(_require(rates, s, float, f"{location}.max_rates_deg_per_s") for s in _SERVOS))
+    except InvalidParameter as exc:
+        raise TrajectoryParseError(f"invalid header value: {exc}", location=location) from exc
+    return geometry, limits
+
+
+def parse_trajectory(text: str | bytes) -> Trajectory:
+    """Parse the trajectory file format; raises :class:`TrajectoryParseError`
+    with line/column (lexical) or location (schema) diagnostics."""
+    doc = _load_object(text)
+    version = _require(doc, "format_version", int, "$")
+    if version != TRAJECTORY_FORMAT_VERSION:
+        raise TrajectoryParseError(
+            f"unsupported format_version {version!r} "
+            f"(expected {TRAJECTORY_FORMAT_VERSION})", location="$.format_version")
+    geometry, limits = _parse_header(doc, "$")
+    raw_waypoints = _require(doc, "waypoints", list, "$")
+    if not raw_waypoints:
+        raise TrajectoryParseError("waypoints must be non-empty", location="$.waypoints")
+    waypoints = []
+    for idx, entry in enumerate(raw_waypoints):
+        location = f"$.waypoints[{idx}]"
+        if not isinstance(entry, dict):
+            raise TrajectoryParseError("waypoint must be an object", location=location)
+        waypoints.append(Waypoint(
+            _require(entry, "t", float, location),
+            ServoState(_require(entry, "s1", float, location),
+                       _require(entry, "s2", float, location),
+                       _require(entry, "s3", float, location)),
+        ))
+        _known_keys(entry, _WAYPOINT_KEYS, location)
+    return Trajectory(geometry=geometry, limits=limits, waypoints=tuple(waypoints))
+
+
+def parse_config(text: str | bytes, overrides: dict | None = None
+                 ) -> tuple[MechanismGeometry, ServoLimits]:
+    """Geometry and limits from a config: any of the trajectory header keys,
+    laid over the defaults' header (per servo for ranges and rates), then the
+    non-None ``overrides``, keyed by geometry field (``{"wheel_radius": 0.5}``),
+    on top; parsed as strictly as a trajectory file header."""
+    doc = _header(DEFAULT_GEOMETRY, DEFAULT_LIMITS)
+    for key, value in _load_object(text).items():
+        if isinstance(value, dict) and isinstance(doc.get(key), dict):
+            value = {**doc[key], **value}
+        doc[key] = value
+    doc.update({_GEOMETRY_KEYS[f]: v for f, v in (overrides or {}).items() if v is not None})
+    return _parse_header(doc, "$")
+
+
+def read_trajectory_file(path) -> Trajectory:
+    return parse_trajectory(Path(path).read_bytes())
+
+
+# --------------------------------------------------------------------------
+# All-or-nothing output
+
+
+# Each staged file of an open Outputs block -> the target it becomes, as given.
+_STAGED: dict[str, str] = {}
+
+
+def _move(target: str) -> tuple[str, str, int | None] | None:
+    """How :class:`Outputs` writes ``target``: ``(staged file, file it
+    replaces, mode to give it or None)``, or None to write it in place."""
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    else:
+        if not stat.S_ISREG(mode):
+            return None
+        mode = stat.S_IMODE(mode)
+        target = os.path.realpath(target)
+    head, tail = os.path.split(target)
+    return os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp"), target, mode
+
+
+class Outputs:
+    """Files written all or nothing, in a ``with`` block.
+
+    Each target is written through a new temporary file in its directory.
+    Leaving the block normally moves every such file over its target, in
+    order; leaving it by any exception, ``KeyboardInterrupt`` included,
+    removes them, so each target keeps its old bytes or gets the complete
+    new ones. A target that exists and is not a regular file (``/dev/null``,
+    ``/dev/stdout``, a FIFO) is written in place. A new file gets the mode
+    ``open(target, "w")`` would leave: the old file's, or 0o666 less the
+    umask. A symbolic link to a regular file is kept, and the file it points
+    to replaced.
+    """
+
+    def __init__(self):
+        self._moves: list[tuple[str, str, int | None]] = []
+
+    def __enter__(self) -> Outputs:
+        return self
+
+    def stage(self, target) -> str:
+        """The path to write ``target`` through, created by :meth:`open`
+        only, so a writer that checks its input first creates nothing when
+        the check fails. :meth:`open` of that path, in this block or another
+        within it, writes it for this block to move."""
+        target = os.fspath(Path(target))
+        move = _move(target)
+        if move is None:
+            return target
+        self._moves.append(move)
+        _STAGED[move[0]] = target
+        return move[0]
+
+    def open(self, target):
+        """A text file, opened for writing, that becomes ``target``: its
+        staged file, created exclusively, or ``target`` itself where that is
+        written in place. An error in creating it names the target."""
+        path = os.fspath(target)
+        if path not in _STAGED:
+            path = self.stage(target)
+            if path not in _STAGED:
+                return open(path, "w", encoding="utf-8")
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
+        except OSError as exc:
+            exc.filename = _STAGED[path]
+            raise
+        return open(fd, "w", encoding="utf-8")
+
+    def __exit__(self, kind, value, traceback) -> None:
+        moves, self._moves = self._moves, []
+        try:
+            while kind is None and moves:
+                staged, target, mode = moves[0]
+                if mode is not None:
+                    os.chmod(staged, mode)
+                os.replace(staged, target)
+                del _STAGED[staged], moves[0]
+        finally:
+            for staged, _, _ in moves:
+                del _STAGED[staged]
+                try:
+                    os.unlink(staged)
+                except FileNotFoundError:
+                    pass

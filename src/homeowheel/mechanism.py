@@ -37,13 +37,6 @@ from operator import add
 
 from .errors import InvalidParameter, ValidationFailure
 from .records import record
-from .rotations import (
-    IDENTITY_QUATERNION,
-    quat_compose,
-    quat_rotate,
-    rot_x,
-    rot_z,
-)
 
 #: Tolerance of the engagement predicate, degrees.
 ENGAGE_TOL = 1e-9
@@ -217,6 +210,8 @@ def forward_kinematics(geometry: MechanismGeometry, state: ServoState,
     state is out of range. At the zero state every frame equals its
     reference pose (identity rotations, links stacked along +z then +x).
     """
+    from .rotations import IDENTITY_QUATERNION, quat_compose, quat_rotate, rot_x, rot_z
+
     violations = validate_state(state, limits)
     if violations:
         raise ValidationFailure(violations)

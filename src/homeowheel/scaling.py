@@ -17,8 +17,10 @@ from collections.abc import Sequence
 from numbers import Real
 
 from .errors import InvalidParameter, ZeroDistance
-from .executor import Motion
 from .records import record
+
+# ``Motion`` (homeowheel.executor) appears only in annotations, which are not
+# evaluated, so ``scale`` never loads the executor.
 
 STANDARD_GRAVITY = 9.81  # m/s^2
 

@@ -18,7 +18,6 @@ from collections.abc import Iterable, Sequence
 
 from .mechanism import DEFAULT_LIMITS, ServoLimits, ServoState
 from .records import record
-from .rotations import unwrap_angle
 
 #: The tegument segment spanning each servo's joint, in chain order.
 SEGMENT_OF_SERVO = {"servo2": "seg_body_gantry", "servo1": "seg_shaft_axial",
@@ -68,6 +67,8 @@ def ledger_history(states: Iterable[ServoState],
     the running ledger, which requires every servo to change by less than
     180 deg per step. In-range states then lift to their raw angles exactly.
     """
+    from .rotations import unwrap_angle
+
     history: list[TwistLedger] = []
     ledger = initial
     for state in states:

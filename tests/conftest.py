@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from homeowheel import executor
+from homeowheel import trace
 
 
 @pytest.fixture
@@ -38,7 +38,7 @@ def _split_export(cpus: int, min_part_rows: int | None = 1):
         patch.setattr(os, "sched_setaffinity", lambda pid, mask: seen.pins.append(set(mask)))
         patch.setattr(os, "fork", counting_fork)
         if min_part_rows is not None:
-            patch.setattr(executor, "_MIN_PART_ROWS", min_part_rows)
+            patch.setattr(trace, "_MIN_PART_ROWS", min_part_rows)
         yield seen
 
 

@@ -9,22 +9,22 @@ from collections.abc import Iterator
 import numpy as np
 
 from homeowheel.errors import TrajectoryParseError
-from homeowheel.executor import (
-    _TRACE_ROW,
-    TRACE_HEADER,
+from homeowheel.executor import Motion, Trajectory, Waypoint
+from homeowheel.fileformat import (
     TRAJECTORY_FORMAT_VERSION,
-    Motion,
-    SimTrace,
-    Trajectory,
-    Waypoint,
     _known_keys,
     _load_object,
     _parse_header,
     _require,
-    _sample_counts,
 )
 from homeowheel.mechanism import ServoState, engaged
 from homeowheel.rotations import UnitQuaternion
+from homeowheel.trace import (
+    _TRACE_ROW,
+    TRACE_HEADER,
+    SimTrace,
+    _sample_counts,
+)
 
 
 def quat_to_matrix(q: UnitQuaternion) -> np.ndarray:

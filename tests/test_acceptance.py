@@ -17,15 +17,15 @@ from homeowheel.executor import (
     RateViolation,
     Trajectory,
     build_rotate_wheel_2n,
-    simulate,
     validate_trajectory,
-    write_trajectory_file,
 )
+from homeowheel.fileformat import write_trajectory_file
 from homeowheel.mechanism import MechanismGeometry, ServoState
 from homeowheel.planner import count_engaged_sweeps, generate_gait, plan_rotation
 from homeowheel.rotations import quat_from_axis_angle
 from homeowheel.scaling import ScalingModel, scale
 from homeowheel.tegument import check_integrity, ledger_history
+from homeowheel.trace import simulate
 from reference import quat_to_matrix
 
 

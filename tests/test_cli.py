@@ -1,6 +1,7 @@
 """Tests for the command-line front end: summaries, files, exit codes."""
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -9,19 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from homeowheel import executor, planner, tegument
+from homeowheel import executor, planner, tegument, trace
 from homeowheel.cli import run
 from homeowheel.executor import (
-    MAX_TRACE_SAMPLES,
     MAX_WAYPOINTS,
     Trajectory,
     Waypoint,
     build_rotate_wheel_2n,
-    read_trajectory_file,
-    write_trajectory_file,
 )
+from homeowheel.fileformat import read_trajectory_file, write_trajectory_file
 from homeowheel.mechanism import MechanismGeometry, ServoLimits, ServoState
 from homeowheel.planner import MAX_PLAN_SWEEPS, count_engaged_sweeps
+from homeowheel.trace import MAX_TRACE_SAMPLES
 
 
 def invoke(capsys, *argv):
@@ -57,8 +57,8 @@ class TestSimulateCommand:
         # 10 one-second segments at 1e9 Hz ask for 1e10 samples; the count
         # is checked before any row is made.
         assert 10 * 10 ** 9 + 1 > MAX_TRACE_SAMPLES
-        forbid(executor, "analyse")
-        forbid(executor, "_trace_blocks")
+        forbid(trace, "_export_parts")
+        forbid(trace, "_trace_blocks")
         out = tmp_path / "x.csv"
         code, stdout, stderr = invoke(capsys, "simulate", "--n", "1",
                                       "--sample-rate-hz", "1e9", "--out", str(out))
@@ -595,3 +595,41 @@ def test_package_imports_only_the_standard_library():
             foreign += [(source.name, root) for root in roots
                         if root != "homeowheel" and root not in sys.stdlib_module_names]
     assert foreign == []
+
+
+# sha256 of the --help output of the top-level parser and of each subcommand
+# at 80 columns, recorded while building the parser still loaded the executor
+# for --policy. argparse lays help out differently in other Python versions.
+HELP_SHA256 = {
+    (): "59640f6be6d994dcbfaea28a8a51514cacf6fc14bb937a63ea7943bd0d152503",
+    ("simulate",): "3f7f00d97c53adf621eec09842d8256b8d75940a8390f651b9aa108b2177d9d4",
+    ("plan",): "44e2d6d1dbdac921addf5af259e19e11f537fdda8fd44a5d2580b7f6685173e3",
+    ("gait",): "c96f2cfc23e6c3d4bb6fd8f7059c7e2a8b12a83174890b507ea74a1f39178c40",
+    ("check",): "4eea33bb10977a104bf1b016c9d3ebf16b87f7802e2645f8fc194ab8406dab02",
+    ("scale",): "7c03c391366b9558a7c3b6f220f208301dad9ac4a20997ac134895f29ad4fa31",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help recorded on Python 3.11")
+@pytest.mark.parametrize("command", HELP_SHA256, ids=lambda c: " ".join(c) or "homeowheel")
+def test_help_text_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        run([*command, "--help"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 0 and captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == HELP_SHA256[command]
+
+
+def test_a_bad_policy_is_the_same_usage_error(capsys, monkeypatch):
+    # --policy parses to its text without loading the executor; its error
+    # reads as argparse's for a type named Policy.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        run(["check", "f.json", "--policy", "bogus"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    assert captured.err == (
+        "usage: homeowheel check [-h] [--policy strict|lenient] trajectory\n"
+        "homeowheel check: error: argument --policy: invalid Policy value: 'bogus'\n")
+    assert [policy.value for policy in executor.Policy] == ["strict", "lenient"]

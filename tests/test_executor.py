@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homeowheel import executor, tegument
+from homeowheel import executor, tegument, trace
 from homeowheel.cli import run
 from homeowheel.errors import InvalidParameter, TrajectoryParseError, ValidationFailure
 from homeowheel.executor import (
@@ -20,7 +20,6 @@ from homeowheel.executor import (
     EVENT_RANGE_VIOLATION,
     FLAG_DISENGAGED_SHAFT_MOTION,
     FLAG_GIMBAL_LOCK_RISK,
-    MAX_TRACE_SAMPLES,
     MAX_WAYPOINTS,
     DisengagedShaftMotion,
     Policy,
@@ -31,14 +30,14 @@ from homeowheel.executor import (
     WaypointRangeViolation,
     analyse,
     build_rotate_wheel_2n,
+    segment_drive,
+    validate_trajectory,
+)
+from homeowheel.fileformat import (
     parse_config,
     parse_trajectory,
     read_trajectory_file,
-    segment_drive,
-    simulate,
     trajectory_to_json,
-    validate_trajectory,
-    write_trace_file,
     write_trajectory_file,
 )
 from homeowheel.mechanism import (
@@ -49,6 +48,7 @@ from homeowheel.mechanism import (
     ServoLimits,
     ServoState,
 )
+from homeowheel.trace import MAX_TRACE_SAMPLES, simulate, write_trace_file
 from reference import reference_trace_csv, reference_trace_rows, sample_rows
 
 S = ServoState
@@ -280,9 +280,9 @@ class TestSimulate:
     def test_sample_cap_is_checked_before_sampling(self, monkeypatch):
         trajectory = build_rotate_wheel_2n(2)
         size = self.closed_form_samples(trajectory, 7.0)
-        monkeypatch.setattr(executor, "MAX_TRACE_SAMPLES", size)
+        monkeypatch.setattr(trace, "MAX_TRACE_SAMPLES", size)
         assert len(simulate(trajectory, 7.0).samples) == size
-        monkeypatch.setattr(executor, "MAX_TRACE_SAMPLES", size - 1)
+        monkeypatch.setattr(trace, "MAX_TRACE_SAMPLES", size - 1)
         with pytest.raises(InvalidParameter, match="MAX_TRACE_SAMPLES"):
             simulate(trajectory, 7.0)
 
@@ -293,7 +293,7 @@ class TestSimulate:
         # starts after analyse.
         trajectory = build_rotate_wheel_2n(1)
         assert self.closed_form_samples(trajectory, 1e9) > MAX_TRACE_SAMPLES
-        forbid(executor, "analyse")
+        forbid(trace, "analyse")
         with pytest.raises(InvalidParameter, match="MAX_TRACE_SAMPLES"):
             simulate(trajectory, rate)
 
@@ -628,7 +628,7 @@ class TestTraceExport:
         path = tmp_path / "trace.csv"
         path.write_text("kept\n")
         motion = analyse(build_rotate_wheel_2n(1))
-        forbid(executor, "_trace_blocks")
+        forbid(trace, "_trace_blocks")
         for rate in (0.0, -1.0, math.inf, math.nan, 1e9):
             with pytest.raises(InvalidParameter):
                 write_trace_file(motion, path, rate)
@@ -727,13 +727,13 @@ class TestSplitExport:
     @staticmethod
     def worker_does(monkeypatch, action):
         """Make each worker call ``action()`` before it writes its part."""
-        write_rows = executor._write_rows
+        write_rows = trace._write_rows
 
         def write(out, motion, counts, start, stop):
             if start > 0:
                 action()
             write_rows(out, motion, counts, start, stop)
-        monkeypatch.setattr(executor, "_write_rows", write)
+        monkeypatch.setattr(trace, "_write_rows", write)
 
     def test_a_failing_worker_is_an_oserror_and_a_usage_error(
             self, capsys, tmp_path, monkeypatch, split_export):

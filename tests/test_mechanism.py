@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from homeowheel import executor, mechanism, rotations, scaling, tegument
+from homeowheel import executor, fileformat, mechanism, rotations, scaling, tegument, trace
 from homeowheel.errors import InvalidParameter, ValidationFailure
 from homeowheel.executor import (
     DisengagedShaftMotion,
     EmptyTrajectory,
     RateViolation,
-    SimTrace,
     TimeOrderViolation,
     TraceEvent,
-    TraceSample,
     Waypoint,
     WaypointRangeViolation,
     analyse,
@@ -38,6 +36,7 @@ from homeowheel.mechanism import (
 from homeowheel.rotations import IDENTITY_QUATERNION
 from homeowheel.scaling import ScalingModel, scale
 from homeowheel.tegument import IntegrityViolation, TwistLedger
+from homeowheel.trace import SimTrace, TraceSample
 from reference import quat_to_matrix
 
 
@@ -276,7 +275,7 @@ RECORDS = [
 
 class TestRecords:
     def test_every_record_type_is_covered(self):
-        modules = (executor, mechanism, rotations, scaling, tegument)
+        modules = (executor, fileformat, mechanism, rotations, scaling, tegument, trace)
         defined = {obj for module in modules for obj in vars(module).values()
                    if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")}
         assert {type(r) for r in RECORDS} == defined

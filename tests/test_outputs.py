@@ -1,0 +1,225 @@
+"""Artefacts are written all or nothing: a failed write leaves the target as
+it was and no temporary file beside it."""
+
+import os
+import stat
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homeowheel import fileformat, trace
+from homeowheel.cli import run
+from homeowheel.executor import analyse, build_rotate_wheel_2n
+from homeowheel.fileformat import Outputs, trajectory_to_json, write_trajectory_file
+from homeowheel.trace import write_trace_file
+from reference import reference_trace_csv
+
+OLD = b"old,contents\n1,2\n"
+
+
+def invoke(capsys, *argv):
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def only(directory: Path, *names: str) -> None:
+    """``directory`` holds exactly ``names``: no temporary file is left."""
+    assert sorted(p.name for p in directory.iterdir()) == sorted(names)
+
+
+# The file size limit is set in the child only; SIGXFSZ is ignored so that a
+# write over the limit fails with EFBIG instead of killing the child.
+FSIZE_CHILD = """
+import resource, signal, sys
+from homeowheel.cli import run
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 20, 1 << 20))
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_FSIZE and SIGXFSZ")
+def test_a_write_over_the_file_size_limit_keeps_the_old_file(tmp_path):
+    # simulate --n 500 at 50 Hz: 150,202 lines, about 6 MB, far over 1 MB.
+    target = tmp_path / "a.csv"
+    target.write_bytes(OLD)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", FSIZE_CHILD, "simulate", "--n", "500",
+                           "--out", "a.csv"], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 2 and done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("homeowheel: error: ")
+    assert target.read_bytes() == OLD
+    only(tmp_path, "a.csv")
+
+
+def test_a_failing_worker_keeps_the_old_file(capsys, tmp_path, monkeypatch, split_export):
+    write_rows = trace._write_rows
+
+    def write(out, motion, counts, start, stop):
+        if start > 0:
+            raise RuntimeError("worker fault")
+        write_rows(out, motion, counts, start, stop)
+    monkeypatch.setattr(trace, "_write_rows", write)
+    target = tmp_path / "a.csv"
+    target.write_bytes(OLD)
+    with split_export(2) as seen:
+        code, stdout, stderr = invoke(capsys, "simulate", "--n", "3", "--out", str(target))
+    assert len(seen.forked) == 1
+    assert code == 2 and stdout == ""
+    assert stderr == "homeowheel: error: trace export worker failed with exit status 1\n"
+    assert target.read_bytes() == OLD
+    only(tmp_path, "a.csv")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_device_is_written_in_place(capsys):
+    # /dev/full is not a regular file: it is written, not replaced, and
+    # fails the write.
+    before = os.stat("/dev/full")
+    code, stdout, stderr = invoke(capsys, "simulate", "--n", "1", "--out", "/dev/full")
+    assert code == 2 and stdout == ""
+    assert len(stderr.splitlines()) == 1 and "No space left" in stderr
+    after = os.stat("/dev/full")
+    assert stat.S_ISCHR(after.st_mode) and after.st_ino == before.st_ino
+
+
+def test_a_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    trajectory = build_rotate_wheel_2n(1)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        write_trajectory_file(trajectory, fifo)
+    finally:
+        reader.join(timeout=30)
+    assert received == [trajectory_to_json(trajectory).encode("utf-8")]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    only(tmp_path, "pipe")
+
+
+def test_a_failing_trajectory_file_keeps_the_trace_too(capsys, tmp_path):
+    # The trace is written in full first; the trajectory file cannot be
+    # created, so neither target is replaced.
+    target = tmp_path / "a.csv"
+    target.write_bytes(OLD)
+    code, stdout, stderr = invoke(capsys, "simulate", "--n", "2", "--out", str(target),
+                                  "--out-traj", str(tmp_path / "missing" / "r.json"))
+    assert code == 2 and stdout == ""
+    assert stderr == ("homeowheel: error: [Errno 2] No such file or directory: "
+                      f"'{tmp_path / 'missing' / 'r.json'}'\n")
+    assert target.read_bytes() == OLD
+    only(tmp_path, "a.csv")
+
+
+def test_both_files_are_replaced_once_both_are_written(capsys, tmp_path):
+    trace_path, traj_path = tmp_path / "a.csv", tmp_path / "r.json"
+    trace_path.write_bytes(OLD)
+    traj_path.write_bytes(OLD)
+    code, _, _ = invoke(capsys, "simulate", "--n", "2", "--out", str(trace_path),
+                        "--out-traj", str(traj_path))
+    assert code == 0
+    trajectory = build_rotate_wheel_2n(2)
+    assert trace_path.read_bytes() == reference_trace_csv(analyse(trajectory), 50.0)
+    assert traj_path.read_text(encoding="utf-8") == trajectory_to_json(trajectory)
+    only(tmp_path, "a.csv", "r.json")
+
+
+def test_the_mode_is_that_of_open_for_writing(tmp_path):
+    trajectory = build_rotate_wheel_2n(1)
+    umask = os.umask(0o022)
+    try:
+        write_trajectory_file(trajectory, tmp_path / "new.json")
+        kept = tmp_path / "kept.json"
+        kept.write_bytes(OLD)
+        kept.chmod(0o640)
+        write_trajectory_file(trajectory, kept)
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(os.stat(tmp_path / "new.json").st_mode) == 0o644
+    assert stat.S_IMODE(os.stat(kept).st_mode) == 0o640
+    assert kept.read_text(encoding="utf-8") == trajectory_to_json(trajectory)
+
+
+def test_a_link_is_kept_and_its_file_replaced(tmp_path):
+    trajectory = build_rotate_wheel_2n(1)
+    real = tmp_path / "real.json"
+    real.write_bytes(OLD)
+    link = tmp_path / "link.json"
+    link.symlink_to(real.name)
+    write_trajectory_file(trajectory, link)
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == trajectory_to_json(trajectory)
+    only(tmp_path, "link.json", "real.json")
+
+
+class FailAt:
+    """``open`` whose text files raise ``error`` once ``budget`` characters
+    have been written, after writing those that fit."""
+
+    def __init__(self, budget: int, error: type[BaseException]):
+        self.left, self.error = budget, error
+
+    def __call__(self, *args, **kwargs):
+        out = open(*args, **kwargs)
+        write = out.write
+
+        def limited(text):
+            if len(text) > self.left:
+                write(text[:self.left])
+                self.left = 0
+                raise self.error("injected failure")
+            self.left -= len(text)
+            return write(text)
+        out.write = limited
+        return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction=st.floats(0.0, 1.2),
+       error=st.sampled_from([OSError, KeyboardInterrupt, RuntimeError]),
+       trace_file=st.booleans())
+def test_a_failure_at_any_offset_leaves_old_or_new_bytes(tmp_path_factory, fraction, error,
+                                                         trace_file):
+    directory = tmp_path_factory.mktemp("fail")
+    target = directory / "out"
+    target.write_bytes(OLD)
+    trajectory = build_rotate_wheel_2n(1)
+    if trace_file:
+        new = reference_trace_csv(analyse(trajectory), 50.0)
+        write = lambda: write_trace_file(analyse(trajectory), target, 50.0)  # noqa: E731
+    else:
+        new = trajectory_to_json(trajectory).encode("utf-8")
+        write = lambda: write_trajectory_file(trajectory, target)  # noqa: E731
+    budget = int(fraction * len(new))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileformat, "open", FailAt(budget, error), raising=False)
+        try:
+            write()
+        except error:
+            assert budget < len(new)
+        else:
+            assert budget >= len(new)
+    assert target.read_bytes() == (new if budget >= len(new) else OLD)
+    only(directory, "out")
+
+
+def test_outputs_removes_every_staged_file_on_error(tmp_path):
+    names = [tmp_path / "a", tmp_path / "b"]
+    with pytest.raises(KeyboardInterrupt):
+        with Outputs() as outputs:
+            staged = [outputs.stage(name) for name in names]
+            write_trajectory_file(build_rotate_wheel_2n(1), staged[0])
+            raise KeyboardInterrupt
+    only(tmp_path)

@@ -7,7 +7,7 @@ import pytest
 
 from homeowheel import planner
 from homeowheel.errors import InvalidParameter, RateInfeasible, ValidationFailure
-from homeowheel.executor import simulate, validate_trajectory
+from homeowheel.executor import validate_trajectory
 from homeowheel.mechanism import MechanismGeometry, ServoLimits, ServoState
 from homeowheel.planner import (
     BACKWARD_CONFIG,
@@ -19,6 +19,7 @@ from homeowheel.planner import (
     plan_distance,
     plan_rotation,
 )
+from homeowheel.trace import simulate
 
 
 def replay(trajectory, sample_rate=50.0):

@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from homeowheel.cli import run
 from homeowheel.errors import TrajectoryParseError, ValidationFailure
 from homeowheel.executor import (
-    _CHUNK_ROWS,
     _RATE_GUARD,
-    _header,
     FLAG_GIMBAL_LOCK_RISK,
     DisengagedShaftMotion,
     EmptyTrajectory,
@@ -31,13 +29,14 @@ from homeowheel.executor import (
     WaypointRangeViolation,
     analyse,
     build_rotate_wheel_2n,
+    segment_drive,
+    validate_trajectory,
+)
+from homeowheel.fileformat import (
+    _header,
     parse_config,
     parse_trajectory,
-    segment_drive,
-    simulate,
     trajectory_to_json,
-    validate_trajectory,
-    write_trace_file,
 )
 from homeowheel.mechanism import (
     GIMBAL_TOL,
@@ -48,6 +47,7 @@ from homeowheel.mechanism import (
 )
 from homeowheel.planner import count_engaged_sweeps, generate_gait, plan_rotation
 from homeowheel.tegument import TwistLedger, check_integrity
+from homeowheel.trace import _CHUNK_ROWS, simulate, write_trace_file
 from reference import (
     reference_parse_trajectory,
     reference_trace_csv,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from homeowheel.executor import build_rotate_wheel_2n, simulate
+from homeowheel.executor import build_rotate_wheel_2n
 from homeowheel.mechanism import ServoLimits, ServoState
 from homeowheel.tegument import (
     IntegrityReport,
@@ -10,6 +10,7 @@ from homeowheel.tegument import (
     check_integrity,
     ledger_history,
 )
+from homeowheel.trace import simulate
 
 ZERO = TwistLedger(0.0, 0.0, 0.0)
 

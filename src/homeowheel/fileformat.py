@@ -9,10 +9,11 @@
 * Config (:func:`parse_config`): any subset of the header keys, same parser.
   A key outside the format is an error in either.
 
-Every artefact is written through :class:`Outputs`: a temporary file beside
-the target, moved over it only once the whole file is written, so a failed
-write leaves the old file as it was. The trace export of
-:mod:`homeowheel.trace` uses it too.
+Every artefact is written through :class:`Outputs`: a file staged beside the
+file the target names, moved over it only once the whole file is written, so
+a failed write leaves the old file as it was. The trace export of
+:mod:`homeowheel.trace` uses it too, and ``simulate`` nests both writers'
+blocks in one of its own by handing them staged paths.
 """
 
 from __future__ import annotations
@@ -211,88 +212,81 @@ def read_trajectory_file(path) -> Trajectory:
 # All-or-nothing output
 
 
-# Each staged file of an open Outputs block -> the target it becomes, as given.
-_STAGED: dict[str, str] = {}
-
-
-def _move(target: str) -> tuple[str, str, int | None] | None:
-    """How :class:`Outputs` writes ``target``: ``(staged file, file it
-    replaces, mode to give it or None)``, or None to write it in place."""
-    try:
-        mode = os.stat(target).st_mode
-    except FileNotFoundError:
-        mode = None
-    else:
-        if not stat.S_ISREG(mode):
-            return None
-        mode = stat.S_IMODE(mode)
-        target = os.path.realpath(target)
-    head, tail = os.path.split(target)
-    return os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp"), target, mode
-
-
 class Outputs:
     """Files written all or nothing, in a ``with`` block.
 
-    Each target is written through a new temporary file in its directory.
-    Leaving the block normally moves every such file over its target, in
-    order; leaving it by any exception, ``KeyboardInterrupt`` included,
-    removes them, so each target keeps its old bytes or gets the complete
-    new ones. A target that exists and is not a regular file (``/dev/null``,
-    ``/dev/stdout``, a FIFO) is written in place. A new file gets the mode
-    ``open(target, "w")`` would leave: the old file's, or 0o666 less the
-    umask. A symbolic link to a regular file is kept, and the file it points
-    to replaced.
+    Each target is written where ``open(target, "w")`` would write it,
+    following symbolic links as ``open`` does. One that exists and is not a
+    regular file (``/dev/null``, ``/dev/stdout``, a FIFO) is written in
+    place; any other through a new file staged, under a fixed-length name,
+    in the directory of the file the target names. Leaving the block
+    normally moves each staged file over that file, in order, so a link is
+    kept, dangling or not; leaving it by any exception, ``KeyboardInterrupt``
+    included, removes them, so each target keeps its old bytes or gets the
+    complete new ones. The new file gets the mode ``open`` would leave: the
+    old file's, or 0o666 less the umask.
+
+    Blocks nest by path: a writer handed a staged path writes it through a
+    staged file of its own block and moves that onto it, for this block to
+    move in turn. An ``OSError`` that leaves the block naming a staged file
+    names its target instead, and removing staged files never replaces the
+    error raised.
     """
 
     def __init__(self):
-        self._moves: list[tuple[str, str, int | None]] = []
+        # (staged file, file it replaces, target as given, mode or None)
+        self._staged: list[tuple[str, str, str, int | None]] = []
 
     def __enter__(self) -> Outputs:
         return self
 
     def stage(self, target) -> str:
-        """The path to write ``target`` through, created by :meth:`open`
+        """The path to write ``target`` through: ``target`` itself where it
+        is written in place, else a staged file, created by :meth:`open`
         only, so a writer that checks its input first creates nothing when
-        the check fails. :meth:`open` of that path, in this block or another
-        within it, writes it for this block to move."""
-        target = os.fspath(Path(target))
-        move = _move(target)
-        if move is None:
-            return target
-        self._moves.append(move)
-        _STAGED[move[0]] = target
-        return move[0]
+        the check fails."""
+        target = os.fspath(target)
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        else:
+            if not stat.S_ISREG(mode):
+                return target
+            mode = stat.S_IMODE(mode)
+        file = os.path.realpath(target)
+        staged = os.path.join(os.path.dirname(file), f".{os.urandom(8).hex()}.tmp")
+        self._staged.append((staged, file, target, mode))
+        return staged
 
     def open(self, target):
         """A text file, opened for writing, that becomes ``target``: its
         staged file, created exclusively, or ``target`` itself where that is
-        written in place. An error in creating it names the target."""
-        path = os.fspath(target)
-        if path not in _STAGED:
-            path = self.stage(target)
-            if path not in _STAGED:
-                return open(path, "w", encoding="utf-8")
-        try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
-        except OSError as exc:
-            exc.filename = _STAGED[path]
-            raise
+        written in place."""
+        path = self.stage(target)
+        if path == os.fspath(target):
+            return open(path, "w", encoding="utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
         return open(fd, "w", encoding="utf-8")
 
-    def __exit__(self, kind, value, traceback) -> None:
-        moves, self._moves = self._moves, []
+    def __exit__(self, kind, error, traceback) -> None:
+        staged, self._staged = self._staged, []
+        moved = 0
         try:
-            while kind is None and moves:
-                staged, target, mode = moves[0]
-                if mode is not None:
-                    os.chmod(staged, mode)
-                os.replace(staged, target)
-                del _STAGED[staged], moves[0]
+            if kind is None:
+                for path, file, _, mode in staged:
+                    if mode is not None:
+                        os.chmod(path, mode)
+                    os.replace(path, file)
+                    moved += 1
+        except OSError as exc:
+            error = exc
+            raise
         finally:
-            for staged, _, _ in moves:
-                del _STAGED[staged]
+            for path, _, target, _ in staged[moved:]:
                 try:
-                    os.unlink(staged)
-                except FileNotFoundError:
+                    os.unlink(path)
+                except OSError:  # never created, or the error raised matters more
                     pass
+                if isinstance(error, OSError) and error.filename == path:
+                    error.filename = target

@@ -101,10 +101,13 @@ def plan_distance(distance_m: float, geometry: MechanismGeometry = DEFAULT_GEOME
                   start: ServoState = HOME_STATE,
                   limits: ServoLimits = DEFAULT_LIMITS) -> Trajectory:
     """Plan a signed rolling distance via the rolling relation
-    theta = distance / radius."""
-    if not math.isfinite(distance_m):
-        raise InvalidParameter(f"distance must be finite, got {distance_m!r}")
+    theta = distance / radius; a wheel angle that is not finite raises
+    InvalidParameter naming both."""
     target_deg = math.degrees(distance_m / geometry.wheel_radius)
+    if not math.isfinite(target_deg):
+        raise InvalidParameter(f"distance {distance_m!r} m on a wheel of radius "
+                               f"{geometry.wheel_radius!r} m gives a wheel angle "
+                               "that is not finite")
     return plan_rotation(target_deg, start=start, limits=limits, geometry=geometry)
 
 

@@ -250,27 +250,22 @@ def _export_cpus() -> list[int]:
     return sorted(os.sched_getaffinity(0))
 
 
-def _export_parts(motion: Motion, counts: list[int], processes: int) -> list[int]:
+def _export_parts(counts: list[int], processes: int) -> list[int]:
     """Segment bounds of the parts a trace export is formatted in: part k
     holds segments ``bounds[k]`` to ``bounds[k + 1] - 1``.
 
     There is one part per process, at most :data:`_EXPORT_PROCESSES`, of
-    about equal formatting cost: a row where the wheel turns formats three
-    floats (``t``, ``theta_wheel_deg`` and ``x_m``) and any other row one.
-    There are fewer parts where one would hold fewer than ``_MIN_PART_ROWS``
-    rows, and one, ``[0, len(counts)]``, where no two parts would."""
+    about equal row counts. There are fewer parts where one would hold fewer
+    than ``_MIN_PART_ROWS`` rows, and one, ``[0, len(counts)]``, where no two
+    parts would."""
     whole = [0, len(counts)]
     wanted = min(processes, _EXPORT_PROCESSES, (sum(counts) + 1) // _MIN_PART_ROWS)
     if wanted < 2:
         return whole
-    waypoints = motion.trajectory.waypoints
     rows = [0, *accumulate(counts)]
     rows[-1] += 1  # the last waypoint's row
-    cost = [0, *accumulate(n * 3 if drive and a.state.s1 != b.state.s1 else n
-                           for n, drive, a, b in zip(counts, motion.drives, waypoints,
-                                                     waypoints[1:]))]
     for parts in range(wanted, 1, -1):
-        bounds = [0, *(bisect_left(cost, cost[-1] * k / parts) for k in range(1, parts)),
+        bounds = [0, *(bisect_left(rows, rows[-1] * k / parts) for k in range(1, parts)),
                   len(counts)]
         if all(rows[stop] - rows[start] >= _MIN_PART_ROWS
                for start, stop in zip(bounds, bounds[1:])):
@@ -342,7 +337,7 @@ def write_trace_file(motion: Motion, path, sample_rate: float = 50.0) -> None:
     creates no file and an unwritable path starts no worker."""
     counts = _sample_counts(motion.trajectory, sample_rate)
     cpus = _export_cpus()
-    bounds = _export_parts(motion, counts, len(cpus))
+    bounds = _export_parts(counts, len(cpus))
     pinned = len(bounds) > 2
     with Outputs() as outputs, outputs.open(path) as out:
         out.write(TRACE_HEADER + "\n")

@@ -143,6 +143,17 @@ class TestPlanCommand:
             run(["plan", "--target-deg", "nan", "--out", str(tmp_path / "x.json")])
         assert excinfo.value.code == 2
 
+    def test_a_distance_past_the_float_range_names_distance_and_radius(self, capsys,
+                                                                       tmp_path):
+        # Both values are finite; their wheel angle, 1e608 rad, is not.
+        out = tmp_path / "plan.json"
+        code, stdout, stderr = invoke(capsys, "plan", "--distance-m", "1e308",
+                                      "--radius-m", "1e-300", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert stderr == ("homeowheel: error: distance 1e+308 m on a wheel of radius "
+                          "1e-300 m gives a wheel angle that is not finite\n")
+        assert not out.exists()
+
 
 class TestGaitCommand:
     def test_two_cycles(self, capsys, tmp_path):

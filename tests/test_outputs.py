@@ -1,6 +1,7 @@
 """Artefacts are written all or nothing: a failed write leaves the target as
 it was and no temporary file beside it."""
 
+import errno
 import os
 import stat
 import subprocess
@@ -16,6 +17,7 @@ from homeowheel import fileformat, trace
 from homeowheel.cli import run
 from homeowheel.executor import analyse, build_rotate_wheel_2n
 from homeowheel.fileformat import Outputs, trajectory_to_json, write_trajectory_file
+from homeowheel.planner import plan_rotation
 from homeowheel.trace import write_trace_file
 from reference import reference_trace_csv
 
@@ -223,3 +225,170 @@ def test_outputs_removes_every_staged_file_on_error(tmp_path):
             write_trajectory_file(build_rotate_wheel_2n(1), staged[0])
             raise KeyboardInterrupt
     only(tmp_path)
+
+
+def child_env() -> dict:
+    """The environment of a child that imports this package from source."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
+def long_name(directory: Path) -> str:
+    """A file name of the most characters ``directory`` allows."""
+    return "a" * (os.pathconf(directory, "PC_NAME_MAX") - 5) + ".json"
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_name_of_the_longest_length_is_written(capsys, tmp_path, existing):
+    # A staged name has a fixed length, so any name open accepts is written.
+    target = tmp_path / long_name(tmp_path)
+    if existing:
+        target.write_bytes(OLD)
+        target.chmod(0o640)
+    code, _, stderr = invoke(capsys, "plan", "--target-deg", "10", "--out", str(target))
+    assert code == 0 and stderr == ""
+    assert target.read_text(encoding="utf-8") == trajectory_to_json(plan_rotation(10.0))
+    if existing:
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o640
+    only(tmp_path, target.name)
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+def test_cleanup_keeps_the_error_raised_and_it_names_the_target(tmp_path, depth):
+    # On a read-only file system a staged file is never created, and
+    # unlinking it fails too, with EROFS; that must not replace the error.
+    def read_only(path, *args, **kwargs):
+        raise OSError(errno.EROFS, os.strerror(errno.EROFS), path)
+
+    target = tmp_path / "missing" / "a.json"
+    with pytest.raises(FileNotFoundError) as raised, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "unlink", read_only)
+        with Outputs() as outputs:
+            path = outputs.stage(target) if depth else target
+            write_trajectory_file(build_rotate_wheel_2n(1), path)
+    assert raised.value.filename == str(target)
+    assert raised.value.__context__ is None
+    only(tmp_path)
+
+
+def test_a_failed_move_names_the_target_and_removes_the_staged_file(tmp_path):
+    target = tmp_path / "a.json"
+    with pytest.raises(IsADirectoryError) as raised:
+        with Outputs() as outputs, outputs.open(target) as out:
+            out.write("{}\n")
+            target.mkdir()
+    assert raised.value.filename == str(target)
+    only(tmp_path, "a.json")
+
+
+def test_a_dangling_link_is_kept_and_the_file_it_names_created(capsys, tmp_path):
+    link = tmp_path / "dangling.json"
+    link.symlink_to("real.json")
+    code, _, _ = invoke(capsys, "plan", "--target-deg", "10", "--out", str(link))
+    assert code == 0
+    assert os.readlink(link) == "real.json"
+    assert (tmp_path / "real.json").read_text(encoding="utf-8") == \
+        trajectory_to_json(plan_rotation(10.0))
+    only(tmp_path, "dangling.json", "real.json")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_dev_stdout_on_a_pipe_is_written_in_place():
+    done = subprocess.run([sys.executable, "-m", "homeowheel", "plan", "--target-deg", "10",
+                           "--out", "/dev/stdout"], env=child_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    text = trajectory_to_json(plan_rotation(10.0))
+    assert done.stdout.startswith(text)
+    assert done.stdout[len(text):].startswith("waypoints=")
+
+
+TRAJECTORY = build_rotate_wheel_2n(1)
+TEXT = trajectory_to_json(TRAJECTORY)
+
+
+def make_target(directory: Path, kind: str, mode: int) -> Path:
+    """A target of ``kind`` in ``directory``, an existing file given ``mode``."""
+    if kind == "fifo":
+        os.mkfifo(directory / "pipe")
+        return directory / "pipe"
+    if kind in ("link", "dangling"):
+        (directory / "link").symlink_to("real")
+        target, existing = directory / "link", kind == "link"
+    else:
+        target = directory / (long_name(directory) if kind == "long" else "out")
+        existing = kind != "new"
+    if existing:
+        Path(os.path.realpath(target)).write_bytes(OLD)
+        os.chmod(target, mode)
+    return target
+
+
+def state(directory: Path) -> dict:
+    """Each entry of ``directory``: a link's text, else its mode and, for a
+    regular file, its bytes."""
+    entries = {}
+    for path in directory.iterdir():
+        if path.is_symlink():
+            entries[path.name] = os.readlink(path)
+        else:
+            mode = os.stat(path).st_mode
+            entries[path.name] = (mode, path.read_bytes() if stat.S_ISREG(mode) else None)
+    return entries
+
+
+def written(target: Path, write) -> bytes | None:
+    """Run ``write``; the bytes a reader of ``target`` got if it is a FIFO."""
+    if not target.is_fifo():
+        write()
+        return None
+    received = []
+    reader = threading.Thread(target=lambda: received.append(target.read_bytes()))
+    reader.start()
+    try:
+        write()
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    return received[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["new", "existing", "link", "dangling", "long", "fifo"]),
+       mode=st.sampled_from([0o600, 0o640, 0o604, 0o755]), depth=st.integers(0, 2),
+       fail_at=st.none() | st.integers(0, len(TEXT) - 1),
+       error=st.sampled_from([OSError, KeyboardInterrupt]))
+def test_outputs_writes_what_open_writes_or_nothing(tmp_path_factory, kind, mode, depth,
+                                                    fail_at, error):
+    reference_dir = tmp_path_factory.mktemp("open")
+    directory = tmp_path_factory.mktemp("outputs")
+    reference = make_target(reference_dir, kind, mode)
+    target = make_target(directory, kind, mode)
+    before = state(directory)
+
+    def write_reference():
+        with open(reference, "w", encoding="utf-8") as out:
+            out.write(TEXT)
+
+    def write():
+        # depth blocks around the writer's own, as simulate nests its writers
+        with Outputs() as outer, Outputs() as inner:
+            path = target
+            for block in (outer, inner)[:depth]:
+                path = block.stage(path)
+            write_trajectory_file(TRAJECTORY, path)
+
+    expected = written(reference, write_reference)
+    with pytest.MonkeyPatch.context() as patch:
+        if fail_at is not None:
+            patch.setattr(fileformat, "open", FailAt(fail_at, error), raising=False)
+            with pytest.raises(error):
+                got = written(target, write)
+        else:
+            got = written(target, write)
+    if fail_at is None:
+        assert state(directory) == state(reference_dir)
+        assert got == expected
+    else:
+        assert state(directory) == before

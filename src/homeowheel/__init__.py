@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("InvalidAxis", "InvalidParameter", "RateInfeasible", "TrajectoryParseError",
                "ValidationFailure", "ZeroDistance"),
-    "executor": ("Motion", "Policy", "TraceEvent", "Trajectory", "Waypoint", "analyse",
+    "executor": ("Motion", "TraceEvent", "Trajectory", "Waypoint", "analyse",
                  "build_rotate_wheel_2n", "segment_drive", "validate_trajectory"),
     "fileformat": ("parse_config", "parse_trajectory", "read_trajectory_file",
                    "trajectory_to_json", "write_trajectory_file"),

@@ -68,8 +68,7 @@ def _finite_float(text: str) -> float:
 
 
 def _policy(text: str) -> str:
-    """``--policy`` as its text; ``executor.Policy`` takes it after parsing,
-    so building the parser loads no executor."""
+    """``check --policy`` as its text, strict or lenient."""
     if text not in ("strict", "lenient"):
         raise argparse.ArgumentTypeError(f"invalid Policy value: {text!r}")
     return text
@@ -85,23 +84,21 @@ def _length_list(text: str) -> list[float]:
 def _resolve_setup(args) -> tuple[MechanismGeometry, ServoLimits]:
     """Geometry and limits: defaults, overridden by --config, overridden by
     explicit flags."""
-    from pathlib import Path
-
     from . import fileformat
 
     try:
-        text = b"{}" if args.config is None else Path(args.config).read_bytes()
+        text = b"{}" if args.config is None else fileformat.read_bounded(args.config)
         return fileformat.parse_config(text, {"wheel_radius": args.radius_m})
     except (OSError, TrajectoryParseError) as exc:
         raise InvalidParameter(f"invalid config {args.config!r}: {exc}") from exc
 
 
-def _analyse(trajectory, policy: str):
-    """``analyse(trajectory, Policy(policy))``, whose odometry must stay in
-    the float range: |x_m| peaks at a waypoint, where |theta_wheel_deg| does."""
+def _analyse(trajectory):
+    """``analyse(trajectory)``, whose odometry must stay in the float range:
+    |x_m| peaks at a waypoint, where |theta_wheel_deg| does."""
     from . import executor
 
-    motion = executor.analyse(trajectory, executor.Policy(policy))
+    motion = executor.analyse(trajectory)
     radius = trajectory.geometry.wheel_radius
     peak = max(map(abs, motion.theta_deg))
     if not math.isfinite(radius * math.radians(peak)):
@@ -137,7 +134,7 @@ def cmd_simulate(args) -> int:
 
     geometry, limits = _resolve_setup(args)
     trajectory = executor.build_rotate_wheel_2n(args.n, geometry=geometry, limits=limits)
-    motion = _analyse(trajectory, args.policy)
+    motion = _analyse(trajectory)
     with fileformat.Outputs() as outputs:  # both files, or neither
         if args.out:
             from . import trace
@@ -157,7 +154,7 @@ def cmd_plan(args) -> int:
         trajectory = planner.plan_rotation(args.target_deg, limits=limits, geometry=geometry)
     else:
         trajectory = planner.plan_distance(args.distance_m, geometry=geometry, limits=limits)
-    motion = _analyse(trajectory, args.policy)
+    motion = _analyse(trajectory)
     fileformat.write_trajectory_file(trajectory, args.out)
     print(f"waypoints={len(trajectory.waypoints)}")
     print(f"segments={max(len(trajectory.waypoints) - 1, 0)}")
@@ -174,7 +171,7 @@ def cmd_gait(args) -> int:
     geometry, limits = _resolve_setup(args)
     trajectory = planner.generate_gait(args.period_s, args.cycles, limits=limits,
                                        geometry=geometry)
-    motion = _analyse(trajectory, args.policy)
+    motion = _analyse(trajectory)
     fileformat.write_trajectory_file(trajectory, args.out)
     print(f"waypoints={len(trajectory.waypoints)}")
     print(f"period_s={_fmt(args.period_s)}")
@@ -188,9 +185,12 @@ def cmd_check(args) -> int:
     from . import executor, fileformat
 
     trajectory = fileformat.read_trajectory_file(args.trajectory)
-    motion = executor.analyse(trajectory, executor.Policy(args.policy), check=False)
+    motion = executor.analyse(trajectory, check=False)
+    violations = motion.violations
+    if args.policy == "lenient":  # disengaged shaft motion stays an event
+        violations = [v for v in violations if not isinstance(v, executor.DisengagedShaftMotion)]
     report = motion.integrity
-    _report_violations(motion.violations)
+    _report_violations(violations)
     print(f"integrity_ok={int(report.ok)}")
     for issue in report.violations:
         print(f"integrity_violation={issue}")
@@ -199,7 +199,7 @@ def cmd_check(args) -> int:
     print(f"events={len(motion.events)}")
     for event in motion.events:
         print(f"event={event.kind} t={event.t:.9g} {event.detail}")
-    clean = not motion.violations and report.ok
+    clean = not violations and report.ok
     print(f"ok={int(clean)}")
     return EXIT_OK if clean else EXIT_VIOLATION
 
@@ -225,14 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate, plan, and verify motions of the homeostatic wheel mechanism.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_setup=True):
-        p.add_argument("--policy", type=_policy, default="strict", metavar="strict|lenient",
-                       help="strict rejects disengaged shaft motion (default strict)")
-        if with_setup:
-            p.add_argument("--config", default=None,
-                           help="JSON file overriding geometry and servo limits")
-            p.add_argument("--radius-m", type=_positive_float, default=None,
-                           help="wheel radius in meters (default 0.10)")
+    def add_setup(p):
+        p.add_argument("--config", default=None,
+                       help="JSON file overriding geometry and servo limits")
+        p.add_argument("--radius-m", type=_positive_float, default=None,
+                       help="wheel radius in meters (default 0.10)")
 
     p_sim = sub.add_parser("simulate", help="run the canonical 2n-revolution routine")
     p_sim.add_argument("--n", type=_positive_int, required=True,
@@ -241,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-traj", default=None, help="also write the trajectory file here")
     p_sim.add_argument("--sample-rate-hz", type=_positive_float, default=50.0,
                        help="trace sampling rate for --out (default 50)")
-    add_common(p_sim)
+    add_setup(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_plan = sub.add_parser("plan", help="plan a wheel rotation or rolling distance")
@@ -251,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     goal.add_argument("--distance-m", type=_finite_float, default=None,
                       help="signed rolling distance in meters")
     p_plan.add_argument("--out", required=True, help="trajectory file output path")
-    add_common(p_plan)
+    add_setup(p_plan)
     p_plan.set_defaults(func=cmd_plan)
 
     p_gait = sub.add_parser("gait", help="generate the periodic rectification gait")
@@ -260,12 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gait.add_argument("--cycles", type=_positive_int, required=True,
                         help="number of periods")
     p_gait.add_argument("--out", required=True, help="trajectory file output path")
-    add_common(p_gait)
+    add_setup(p_gait)
     p_gait.set_defaults(func=cmd_gait)
 
     p_check = sub.add_parser("check", help="verify a trajectory file")
     p_check.add_argument("trajectory", help="trajectory file to check")
-    add_common(p_check, with_setup=False)
+    p_check.add_argument("--policy", type=_policy, default="strict", metavar="strict|lenient",
+                         help="strict rejects disengaged shaft motion (default strict)")
     p_check.set_defaults(func=cmd_check)
 
     p_scale = sub.add_parser("scale", help="report the size scaling laws")

@@ -18,7 +18,6 @@ sampled trace and its export in :mod:`homeowheel.trace`.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Iterable, Iterator
 from itertools import chain
@@ -54,23 +53,16 @@ _RATE_GUARD = 1e-12
 # Work bounds. Each size is computed in closed form from the inputs, and a
 # size over its bound raises InvalidParameter before any of the work is done.
 
-#: Most engaged sweeps :func:`homeowheel.planner.plan_rotation` plans
-#: (3.6e7 deg at the default span; about 3 waypoints per sweep).
-MAX_PLAN_SWEEPS = 100_000
+#: Most waypoints :func:`build_rotate_wheel_2n` (6n + 5),
+#: :func:`homeowheel.planner.generate_gait` (4 cycles + 1) and a plan build,
+#: and that a trajectory file may hold.
+MAX_WAYPOINTS = 300_000
+#: Most engaged sweeps :func:`homeowheel.planner.plan_rotation` plans (about
+#: 3.6e7 deg at the default span): a plan has at most 3 waypoints per sweep
+#: and 3 more, so it stays within MAX_WAYPOINTS.
+MAX_PLAN_SWEEPS = (MAX_WAYPOINTS - 3) // 3
 #: Least duration of a servo move of the canonical routine and of a plan, s.
 MOVE_S = 1.0
-#: Most waypoints :func:`build_rotate_wheel_2n` (6n + 5) and
-#: :func:`homeowheel.planner.generate_gait` (4 cycles + 1) build: about the
-#: size of the largest plan.
-MAX_WAYPOINTS = 300_000
-
-
-class Policy(enum.Enum):
-    """Validation policy: strict rejects disengaged shaft motion, lenient
-    downgrades it to a trace warning."""
-
-    STRICT = "strict"
-    LENIENT = "lenient"
 
 
 class Waypoint(record("Waypoint", "t state")):
@@ -122,8 +114,8 @@ class Motion(record("Motion", "trajectory theta_deg drives flags events integrit
     ``drives[i]`` and ``flags[i]`` are segment i's wheel coupling (see
     :func:`segment_drive`) and event flags. ``integrity`` certifies the
     twist of every tegument segment over the whole path. ``violations`` are
-    the trajectory's constraint violations under the policy it was analysed
-    with. The sequences are tuples.
+    the trajectory's constraint violations, disengaged shaft motion
+    included. The sequences are tuples.
     """
 
     __slots__ = ()
@@ -204,10 +196,19 @@ def segment_drive(start: ServoState, end: ServoState) -> int:
 
 def timed_waypoints(states: list[ServoState], limits: ServoLimits) -> list[Waypoint]:
     """Waypoints through ``states`` from t = 0, each move taking :data:`MOVE_S`
-    or, where a servo would exceed its rate limit, the least time within it."""
-    times = [0.0]
+    or, where a servo would exceed its rate limit, the least time within it.
+
+    A time rounded so that its move takes less than that is raised to the
+    next float until the move fits; a move lost to rounding entirely is left
+    to :func:`check_times`."""
+    t = 0.0
+    times = [t]
     for prev, state in zip(states, states[1:]):
-        times.append(times[-1] + max(MOVE_S, limits.move_time(prev, state)))
+        least = max(MOVE_S, limits.move_time(prev, state))
+        start, t = t, t + least
+        while start < t and t - start < least:
+            t = math.nextafter(t, math.inf)
+        times.append(t)
     check_times(times)
     return list(map(Waypoint, times, states))
 
@@ -284,8 +285,7 @@ def _gimbal_entry(a: ServoState, b: ServoState) -> float | None:
     return lo if lo <= hi else None
 
 
-def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *,
-            check: bool = True) -> Motion:
+def analyse(trajectory: Trajectory, *, check: bool = True) -> Motion:
     """Wheel angle, events, constraint violations and twist certificate of a
     trajectory, in one pass over its waypoints and one over its segments.
 
@@ -299,13 +299,12 @@ def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *,
     extremes at the waypoints and a tegument segment's twist is its servo's angle.
 
     ``violations`` lists every out-of-range waypoint servo, then per segment
-    either a time-order violation or its rate excesses and, under the strict
-    ``policy``, its shaft motion with the clutch open (the lenient policy
-    leaves that as an event). Interpolation is linear on the authored values,
-    so the shaft's lifted angle along a segment stays between its in-range
-    endpoints by convexity; in particular a 350 -> 10 segment is the -340
-    sweep, never a +20 wraparound, and is legal only if the rate limit
-    admits it.
+    either a time-order violation or its rate excesses and its shaft motion
+    with the clutch open (a :class:`DisengagedShaftMotion`, which is also an
+    event). Interpolation is linear on the authored values, so the shaft's
+    lifted angle along a segment stays between its in-range endpoints by
+    convexity; in particular a 350 -> 10 segment is the -340 sweep, never a
+    +20 wraparound, and is legal only if the rate limit admits it.
 
     With ``check`` (the default), the violations other than
     :class:`DisengagedShaftMotion` raise :class:`ValidationFailure`. With
@@ -317,7 +316,6 @@ def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *,
     if not waypoints:
         raise ValidationFailure([EmptyTrajectory()])
     limits = trajectory.limits
-    strict = policy is Policy.STRICT
     rate_limits = (("servo1", limits.s1_max_rate), ("servo2", limits.s2_max_rate),
                    ("servo3", limits.s3_max_rate))
 
@@ -358,7 +356,7 @@ def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *,
                 rate = abs(delta) / seg_dt
                 if rate > max_rate * (1.0 + _RATE_GUARD):
                     violations.append(RateViolation(i, servo, rate, max_rate))
-            if strict and disengaged:
+            if disengaged:
                 violations.append(DisengagedShaftMotion(i, a.t, b.t, d_s1))
         s1_rate = d_s1 / seg_dt if seg_dt > 0.0 else 0.0
         entry = _gimbal_entry(a.state, b.state) if s1_rate != 0.0 else None
@@ -385,14 +383,13 @@ def analyse(trajectory: Trajectory, policy: Policy = Policy.STRICT, *,
                   integrity, tuple(violations))
 
 
-def validate_trajectory(trajectory: Trajectory,
-                        policy: Policy = Policy.STRICT) -> list[Violation]:
-    """Every constraint violation of the trajectory under ``policy``: the
-    ``violations`` of ``analyse(trajectory, policy, check=False)``, or
-    ``[EmptyTrajectory()]`` when it has no waypoints."""
+def validate_trajectory(trajectory: Trajectory) -> list[Violation]:
+    """Every constraint violation of the trajectory: the ``violations`` of
+    ``analyse(trajectory, check=False)``, or ``[EmptyTrajectory()]`` when it
+    has no waypoints."""
     if not trajectory.waypoints:
         return [EmptyTrajectory()]
-    return list(analyse(trajectory, policy, check=False).violations)
+    return list(analyse(trajectory, check=False).violations)
 
 
 # perfbench/traced.py wraps these four by their names in this module; they

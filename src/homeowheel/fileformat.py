@@ -24,10 +24,9 @@ import os
 import stat
 import sys
 from itertools import chain
-from pathlib import Path
 
 from .errors import InvalidParameter, TrajectoryParseError
-from .executor import Trajectory, Waypoint
+from .executor import MAX_WAYPOINTS, Trajectory, Waypoint
 from .mechanism import (
     DEFAULT_GEOMETRY,
     DEFAULT_LIMITS,
@@ -48,6 +47,11 @@ _WAYPOINT_KEYS = frozenset(("t", *_SERVOS))
 _FORMAT_KEYS = frozenset(("format_version", *_GEOMETRY_KEYS.values(), "servo_ranges_deg",
                           "max_rates_deg_per_s", "waypoints"))
 _FLOAT_MAX = sys.float_info.max
+
+#: Most bytes read from a trajectory file or a config. The writer's longest
+#: waypoint, 162 bytes and a comma, times MAX_WAYPOINTS is 48.9 MB; the rest
+#: leaves room for a hand-written header and layout.
+MAX_FILE_BYTES = 64 * 1024 * 1024
 
 
 def _header(geometry: MechanismGeometry, limits: ServoLimits) -> dict:
@@ -174,6 +178,9 @@ def parse_trajectory(text: str | bytes) -> Trajectory:
     raw_waypoints = _require(doc, "waypoints", list, "$")
     if not raw_waypoints:
         raise TrajectoryParseError("waypoints must be non-empty", location="$.waypoints")
+    if len(raw_waypoints) > MAX_WAYPOINTS:
+        raise TrajectoryParseError(f"{len(raw_waypoints)} waypoints are more than "
+                                   f"MAX_WAYPOINTS ({MAX_WAYPOINTS})", location="$.waypoints")
     waypoints = []
     for idx, entry in enumerate(raw_waypoints):
         location = f"$.waypoints[{idx}]"
@@ -204,12 +211,34 @@ def parse_config(text: str | bytes, overrides: dict | None = None
     return _parse_header(doc, "$")
 
 
+def read_bounded(path) -> bytes:
+    """The bytes of the file at ``path``, of which at most
+    :data:`MAX_FILE_BYTES` + 1 are read, so a device or FIFO without end is
+    bounded too; a longer file raises :class:`TrajectoryParseError`."""
+    with open(path, "rb") as file:
+        data = file.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise TrajectoryParseError(f"file is longer than MAX_FILE_BYTES ({MAX_FILE_BYTES} bytes)")
+    return data
+
+
 def read_trajectory_file(path) -> Trajectory:
-    return parse_trajectory(Path(path).read_bytes())
+    return parse_trajectory(read_bounded(path))
 
 
 # --------------------------------------------------------------------------
 # All-or-nothing output
+
+
+def _is_a_standard_stream(status: os.stat_result) -> bool:
+    """Whether standard input, output or error is open on the file of ``status``."""
+    for fd in (0, 1, 2):
+        try:
+            if os.path.samestat(status, os.fstat(fd)):
+                return True
+        except OSError:  # closed
+            pass
+    return False
 
 
 class Outputs:
@@ -217,13 +246,15 @@ class Outputs:
 
     Each target is written where ``open(target, "w")`` would write it,
     following symbolic links as ``open`` does. One that exists and is not a
-    regular file (``/dev/null``, ``/dev/stdout``, a FIFO) is written in
-    place; any other through a new file staged, under a fixed-length name,
-    in the directory of the file the target names. Leaving the block
-    normally moves each staged file over that file, in order, so a link is
-    kept, dangling or not; leaving it by any exception, ``KeyboardInterrupt``
-    included, removes them, so each target keeps its old bytes or gets the
-    complete new ones. The new file gets the mode ``open`` would leave: the
+    regular file (``/dev/null``, a FIFO), or is the file that standard input,
+    output or error is open on (``/dev/stdout`` redirected to a file), is
+    written in place, and so is a name that ends in a separator, which
+    ``open`` rejects; any other through a new file staged, under a
+    fixed-length name, in the directory of the file the target names.
+    Leaving the block normally moves each staged file over that file, in
+    order, so a link is kept, dangling or not; leaving it by any exception,
+    ``KeyboardInterrupt`` included, removes them, so each target keeps its
+    old bytes or gets the complete new ones. The new file gets the mode ``open`` would leave: the
     old file's, or 0o666 less the umask.
 
     Blocks nest by path: a writer handed a staged path writes it through a
@@ -246,14 +277,16 @@ class Outputs:
         only, so a writer that checks its input first creates nothing when
         the check fails."""
         target = os.fspath(target)
+        if not os.path.basename(target):  # a directory's name: open raises
+            return target
         try:
-            mode = os.stat(target).st_mode
+            status = os.stat(target)
         except FileNotFoundError:
             mode = None
         else:
-            if not stat.S_ISREG(mode):
+            if not stat.S_ISREG(status.st_mode) or _is_a_standard_stream(status):
                 return target
-            mode = stat.S_IMODE(mode)
+            mode = stat.S_IMODE(status.st_mode)
         file = os.path.realpath(target)
         staged = os.path.join(os.path.dirname(file), f".{os.urandom(8).hex()}.tmp")
         self._staged.append((staged, file, target, mode))

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidParameter, RateInfeasible, ValidationFailure
-from .executor import (MAX_PLAN_SWEEPS, MAX_WAYPOINTS, Trajectory, Waypoint, check_times,
-                       segment_drive, timed_waypoints)
+from .errors import InvalidParameter, RateInfeasible
+from .executor import (MAX_PLAN_SWEEPS, MAX_WAYPOINTS, Trajectory, Waypoint, analyse,
+                       check_times, segment_drive, timed_waypoints)
 from .mechanism import (
     DEFAULT_GEOMETRY,
     DEFAULT_LIMITS,
@@ -42,18 +42,20 @@ def plan_rotation(target_deg: float, start: ServoState = HOME_STATE,
                   geometry: MechanismGeometry = DEFAULT_GEOMETRY) -> Trajectory:
     """Plan a net wheel rotation of ``target_deg`` (signed) from ``start``.
 
-    The emitted trajectory passes strict validation and, replayed through
+    The emitted trajectory has no violations and, replayed through
     the simulator, advances the wheel by the target to well under 1e-9 deg.
     The first sweep travels at most ``first = max(s1_max - s1, s1 - s1_min)``
     from ``start``, each later one the whole s1 span, so a nonzero target takes
     1 + ceil(max(|target| - first, 0) / span) <= ceil(|target| / span) + 1
-    engaged sweeps; more than :data:`MAX_PLAN_SWEEPS` raise InvalidParameter.
+    engaged sweeps; more than :data:`MAX_PLAN_SWEEPS` raise InvalidParameter,
+    and so does a ``start`` outside the limits.
     """
     if not math.isfinite(target_deg):
         raise InvalidParameter(f"target must be finite, got {target_deg!r}")
     violations = validate_state(start, limits)
     if violations:
-        raise ValidationFailure(violations)
+        raise InvalidParameter(f"start {start!r} is outside the limits: "
+                               + "; ".join(map(str, violations)))
     lo, hi = limits.s1_range
     if target_deg != 0.0:
         check_reachable(limits)
@@ -124,7 +126,9 @@ def generate_gait(period_s: float, cycles: int,
     forward driving configuration (s1=0, s2=+90, s3=-90).
 
     Raises :class:`RateInfeasible` when the period cannot fit a 360 deg
-    sweep at the shaft rate limit plus the 180 deg swap dwells, and
+    sweep at the shaft rate limit plus the 180 deg swap dwells, or when it
+    fits with so little to spare that the rounding of the waypoint times
+    shortens a move past the rate test of :func:`analyse`, and
     InvalidParameter when the 4 cycles + 1 waypoints exceed MAX_WAYPOINTS,
     the limits exclude a driving configuration or s1 = 0 or 360, or the
     times stop increasing (see :func:`homeowheel.executor.check_times`).
@@ -159,8 +163,19 @@ def generate_gait(period_s: float, cycles: int,
     times.append(cycles * period_s)
     check_times(times)
     states = [up, up_end, down, down_end] * cycles + [up]
-    return Trajectory(geometry=geometry, limits=limits,
+    gait = Trajectory(geometry=geometry, limits=limits,
                       waypoints=list(map(Waypoint, times, states)))
+    # A move's time is off by at most about ulp(t) after rounding; only a
+    # move with no more spare time than that can fail the rate test.
+    spare = min(t_sweep - sweep_min, half - t_sweep - dwell_min)
+    if spare <= 4.0 * math.ulp(times[-1]):
+        slow = analyse(gait, check=False).violations
+        if slow:
+            raise RateInfeasible(
+                f"period {period_s!r} s over {cycles} cycles is infeasible: rounding the "
+                f"waypoint time t={times[slow[0].segment]!r} s leaves too little time for "
+                f"the moves at the rate limits ({slow[0]})")
+    return gait
 
 
 def count_engaged_sweeps(trajectory: Trajectory) -> int:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from homeowheel import executor, planner, tegument, trace
+from homeowheel import executor, fileformat, planner, tegument, trace
 from homeowheel.cli import run
 from homeowheel.executor import (
     MAX_WAYPOINTS,
@@ -224,6 +224,120 @@ def test_waypoint_times_that_stop_increasing_are_a_usage_error(capsys, tmp_path,
     assert len(stderr.splitlines()) == 1
     assert "waypoint times must be finite and increasing" in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rates, argv", [
+    ({"s1": 1e-06, "s2": 7}, ("simulate", "--n", "1")),
+    ({"s1": 1e-06, "s2": 7}, ("plan", "--target-deg", "10")),
+    ({"s1": 13}, ("simulate", "--n", "10000")),
+    ({"s1": 100}, ("gait", "--period-s", "8.2", "--cycles", "1")),  # its least period
+], ids=["simulate", "plan", "simulate-long", "gait"])
+def test_rate_limited_builders_pass_their_own_analysis(capsys, tmp_path, rates, argv):
+    # Rounding a growing waypoint time cut some moves below their least time
+    # by about ulp(t), past the rate test's guard: the builder exited 1 with
+    # error=ValidationFailure and wrote nothing.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_rates_deg_per_s": rates}))
+    out = tmp_path / "out.json"
+    out_flag = "--out-traj" if argv[0] == "simulate" else "--out"
+    code, stdout, stderr = invoke(capsys, *argv, "--config", str(config), out_flag, str(out))
+    assert (code, stderr) == (0, "") and stdout.endswith("violations=0\n")
+    code, stdout, _ = invoke(capsys, "check", str(out))
+    assert code == 0 and stdout.endswith("ok=1\n")
+
+
+def test_a_gait_whose_rounded_times_break_the_rates_is_rate_infeasible(capsys, tmp_path):
+    # 8.2 s is the least period at an s1 rate of 100 deg/s; over 1000 cycles
+    # the rounding of the times shortens moves past the rate limits.
+    config = tmp_path / "config.json"
+    config.write_text('{"max_rates_deg_per_s": {"s1": 100}}')
+    out = tmp_path / "gait.json"
+    code, stdout, stderr = invoke(capsys, "gait", "--period-s", "8.2", "--cycles", "1000",
+                                  "--config", str(config), "--out", str(out))
+    assert code == 1 and stderr == ""
+    (line,) = stdout.splitlines()
+    assert line.startswith("error=RateInfeasible detail=period 8.2 s over 1000 cycles "
+                           "is infeasible: rounding the waypoint time t=")
+    assert not out.exists()
+
+
+def test_plan_from_a_home_state_outside_the_limits_is_a_usage_error(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text('{"servo_ranges_deg": {"s1": [10, 100]}}')
+    out = tmp_path / "plan.json"
+    code, stdout, stderr = invoke(capsys, "plan", "--target-deg", "10",
+                                  "--config", str(config), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr.splitlines() == [
+        "homeowheel: error: start ServoState(s1=0.0, s2=0.0, s3=0.0) is outside the limits: "
+        "RangeViolation servo1: 0.0 outside [10.0, 100.0]"]
+    assert not out.exists()
+
+
+def test_a_builder_output_that_fails_analysis_is_reported_not_written(capsys, tmp_path,
+                                                                      monkeypatch):
+    # No builder emits such a trajectory; analyse still guards the file.
+    bad = Trajectory(waypoints=(Waypoint(0.0, ServoState(0.0, 0.0, 0.0)),
+                                Waypoint(1.0, ServoState(400.0, 0.0, 0.0))))
+    monkeypatch.setattr(planner, "plan_rotation", lambda *args, **kwargs: bad)
+    out = tmp_path / "plan.json"
+    code, stdout, stderr = invoke(capsys, "plan", "--target-deg", "10", "--out", str(out))
+    assert (code, stderr) == (1, "")
+    assert stdout.splitlines() == [
+        "error=ValidationFailure",
+        "violation=RangeViolation servo1 at waypoint 1: 400.0 outside [0.0, 360.0]",
+        "violation=RateViolation servo1 on segment 0: 400.0 deg/s exceeds 360.0 deg/s"]
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("argv, code, line", [
+    (["check", "/dev/zero"], 3, "parse error: file is longer than MAX_FILE_BYTES"),
+    (["simulate", "--n", "1", "--config", "/dev/zero"], 2,
+     "homeowheel: error: invalid config '/dev/zero': file is longer than MAX_FILE_BYTES"),
+], ids=["check", "config"])
+def test_an_endless_input_is_read_only_to_its_bound(argv, code, line):
+    # Reading the whole input grew until memory ran out. The child's address
+    # space is limited, so a missing bound ends there in a MemoryError.
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 1024 * 1024,) * 2)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-m", "homeowheel", *argv], capture_output=True,
+                            text=True, timeout=120, preexec_fn=limit_memory,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert (result.returncode, result.stdout) == (code, "")
+    assert result.stderr.splitlines() == [f"{line} ({fileformat.MAX_FILE_BYTES} bytes)"]
+
+
+def test_a_file_of_max_file_bytes_is_read_and_one_byte_more_is_not(capsys, tmp_path,
+                                                                   monkeypatch):
+    text = fileformat.trajectory_to_json(build_rotate_wheel_2n(1)).encode()
+    monkeypatch.setattr(fileformat, "MAX_FILE_BYTES", len(text))
+    path = tmp_path / "routine.json"
+    out = str(tmp_path / "out.json")
+    path.write_bytes(text)
+    assert invoke(capsys, "check", str(path))[0] == 0
+    assert invoke(capsys, "plan", "--target-deg", "1", "--config", str(path), "--out", out)[0] == 0
+    path.write_bytes(text + b"\n")
+    assert invoke(capsys, "check", str(path)) == (
+        3, "", f"parse error: file is longer than MAX_FILE_BYTES ({len(text)} bytes)\n")
+    assert invoke(capsys, "plan", "--target-deg", "1", "--config", str(path), "--out", out) == (
+        2, "", f"homeowheel: error: invalid config {str(path)!r}: "
+               f"file is longer than MAX_FILE_BYTES ({len(text)} bytes)\n")
+
+
+def test_check_of_more_than_max_waypoints_is_a_parse_error(capsys, tmp_path, forbid):
+    doc = json.loads(fileformat.trajectory_to_json(build_rotate_wheel_2n(1)))
+    doc["waypoints"] *= MAX_WAYPOINTS // len(doc["waypoints"]) + 1
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    forbid(fileformat, "Waypoint")
+    code, stdout, stderr = invoke(capsys, "check", str(path))
+    assert (code, stdout) == (3, "")
+    assert stderr == (f"parse error: {len(doc['waypoints'])} waypoints are more than "
+                      f"MAX_WAYPOINTS ({MAX_WAYPOINTS}) at $.waypoints\n")
 
 
 @pytest.mark.parametrize("argv, peak_deg", [
@@ -502,6 +616,11 @@ class TestConfigAndDeterminism:
         ["plan", "--target-deg", "90", "--out", "{out}", "--sample-rate-hz", "5"],
         ["gait", "--period-s", "8", "--cycles", "1", "--out", "{out}",
          "--sample-rate-hz", "5"],
+        # No builder moves the shaft with the clutch open, so only check
+        # takes a policy.
+        ["simulate", "--n", "1", "--out-traj", "{out}", "--policy", "strict"],
+        ["plan", "--target-deg", "90", "--out", "{out}", "--policy", "lenient"],
+        ["gait", "--period-s", "8", "--cycles", "1", "--out", "{out}", "--policy", "strict"],
     ])
     def test_options_a_command_never_reads_are_rejected(self, capsys, tmp_path, argv):
         traj = tmp_path / "routine.json"
@@ -609,13 +728,13 @@ def test_package_imports_only_the_standard_library():
 
 
 # sha256 of the --help output of the top-level parser and of each subcommand
-# at 80 columns, recorded while building the parser still loaded the executor
-# for --policy. argparse lays help out differently in other Python versions.
+# at 80 columns; the builders' were recorded once --policy became check's
+# alone. argparse lays help out differently in other Python versions.
 HELP_SHA256 = {
     (): "59640f6be6d994dcbfaea28a8a51514cacf6fc14bb937a63ea7943bd0d152503",
-    ("simulate",): "3f7f00d97c53adf621eec09842d8256b8d75940a8390f651b9aa108b2177d9d4",
-    ("plan",): "44e2d6d1dbdac921addf5af259e19e11f537fdda8fd44a5d2580b7f6685173e3",
-    ("gait",): "c96f2cfc23e6c3d4bb6fd8f7059c7e2a8b12a83174890b507ea74a1f39178c40",
+    ("simulate",): "790168a8b6b4ac891cc3a1770c97ce73ea7c4fc42f2fd0351899563799039a9b",
+    ("plan",): "f2410ed8093bfd28b583342d7c3d1b2f44be4ab6a7eb8357ed233076b26f1f6d",
+    ("gait",): "4be1971b3d49fc571969c393707242fedfea6da2c5dc13de0e9a997a9caf3323",
     ("check",): "4eea33bb10977a104bf1b016c9d3ebf16b87f7802e2645f8fc194ab8406dab02",
     ("scale",): "7c03c391366b9558a7c3b6f220f208301dad9ac4a20997ac134895f29ad4fa31",
 }
@@ -633,14 +752,15 @@ def test_help_text_is_unchanged(capsys, monkeypatch, command):
 
 
 def test_a_bad_policy_is_the_same_usage_error(capsys, monkeypatch):
-    # --policy parses to its text without loading the executor; its error
-    # reads as argparse's for a type named Policy.
+    # --policy parses to its text; its error reads as argparse's for a type
+    # named Policy, and strict and lenient are its only values.
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as excinfo:
-        run(["check", "f.json", "--policy", "bogus"])
-    captured = capsys.readouterr()
-    assert excinfo.value.code == 2 and captured.out == ""
-    assert captured.err == (
-        "usage: homeowheel check [-h] [--policy strict|lenient] trajectory\n"
-        "homeowheel check: error: argument --policy: invalid Policy value: 'bogus'\n")
-    assert [policy.value for policy in executor.Policy] == ["strict", "lenient"]
+    for value in ("bogus", "STRICT", "Lenient", ""):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["check", "f.json", "--policy", value])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert captured.err == (
+            "usage: homeowheel check [-h] [--policy strict|lenient] trajectory\n"
+            f"homeowheel check: error: argument --policy: invalid Policy value: {value!r}\n")
+

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from homeowheel import executor, tegument, trace
+from homeowheel import executor, fileformat, tegument, trace
 from homeowheel.cli import run
 from homeowheel.errors import InvalidParameter, TrajectoryParseError, ValidationFailure
 from homeowheel.executor import (
@@ -22,7 +22,6 @@ from homeowheel.executor import (
     FLAG_GIMBAL_LOCK_RISK,
     MAX_WAYPOINTS,
     DisengagedShaftMotion,
-    Policy,
     RateViolation,
     TimeOrderViolation,
     Trajectory,
@@ -341,11 +340,12 @@ class TestValidateTrajectory:
         assert validate_trajectory(trajectory) == []
 
     def test_disengaged_shaft_motion_policy(self):
+        # Always a violation, and the only one here, so that check's lenient
+        # policy, which drops it, finds the trajectory clean; never raised.
         trajectory = make_trajectory([(0, 0, 0), (90, 0, 0)])
-        strict = validate_trajectory(trajectory, policy=Policy.STRICT)
-        assert any(isinstance(v, DisengagedShaftMotion) for v in strict)
-        lenient = validate_trajectory(trajectory, policy=Policy.LENIENT)
-        assert lenient == []
+        expected = [DisengagedShaftMotion(0, 0.0, 1.0, 90.0)]
+        assert validate_trajectory(trajectory) == expected
+        assert list(analyse(trajectory).violations) == expected
 
     def test_empty_trajectory(self):
         violations = validate_trajectory(Trajectory(waypoints=()))
@@ -364,8 +364,8 @@ class TestValidateTrajectory:
         assert TimeOrderViolation in kinds
 
     def test_analyse_walks_each_waypoint_and_segment_once(self, monkeypatch):
-        # Validation is part of analyse's walk, checked or not, strict or
-        # lenient: one range check per waypoint, one clutch test per segment.
+        # Validation is part of analyse's walk, checked or not: one range
+        # check per waypoint, one clutch test per segment.
         calls = []
         for name in ("validate_state", "segment_drive"):
             def counted(*args, _fn=getattr(executor, name), _name=name, **kwargs):
@@ -374,7 +374,6 @@ class TestValidateTrajectory:
             monkeypatch.setattr(executor, name, counted)
         trajectory = build_rotate_wheel_2n(3)
         runs = [lambda: analyse(trajectory), lambda: analyse(trajectory, check=False),
-                lambda: analyse(trajectory, Policy.LENIENT),
                 lambda: validate_trajectory(trajectory)]
         for walk in runs:
             calls.clear()
@@ -389,11 +388,9 @@ class TestValidateTrajectory:
         routine = build_rotate_wheel_2n(2)
         bad = make_trajectory([(0, 0, 0), (400, 95, -95), (-1, 0, 91), (0, 0, 0)])
         runs = [lambda: analyse(routine), lambda: analyse(routine, check=False),
-                lambda: analyse(routine, Policy.LENIENT),
-                lambda: analyse(bad, check=False),
-                lambda: analyse(bad, Policy.LENIENT, check=False)]
+                lambda: analyse(bad, check=False)]
         expected = [walk() for walk in runs]
-        assert not expected[3].integrity.ok
+        assert not expected[2].integrity.ok
         for name in ("check_integrity", "TwistLedger"):
             target = getattr(tegument, name)
             for module in list(sys.modules.values()):
@@ -510,6 +507,22 @@ class TestTrajectoryFiles:
         doc["waypoints"] = []
         with pytest.raises(TrajectoryParseError):
             parse_trajectory(json.dumps(doc))
+
+    def test_max_waypoints_parse_and_one_more_is_rejected_before_any_record(self, forbid):
+        header = trajectory_to_json(Trajectory(waypoints=())).replace(
+            ',\n  "waypoints": []\n}\n', "")
+        waypoint = '{"t": 0.0, "s1": 0.0, "s2": 0.0, "s3": 0.0}'
+
+        def document(count: int) -> str:
+            return header + ', "waypoints": [' + ",".join([waypoint] * count) + "]}"
+        assert len(parse_trajectory(document(MAX_WAYPOINTS)).waypoints) == MAX_WAYPOINTS
+        forbid(fileformat, "Waypoint")
+        forbid(fileformat, "ServoState")
+        with pytest.raises(TrajectoryParseError) as excinfo:
+            parse_trajectory(document(MAX_WAYPOINTS + 1))
+        assert excinfo.value.location == "$.waypoints"
+        assert str(excinfo.value) == (f"{MAX_WAYPOINTS + 1} waypoints are more than "
+                                      f"MAX_WAYPOINTS ({MAX_WAYPOINTS}) at $.waypoints")
 
     def test_header_carries_geometry_and_limits(self):
         geometry = MechanismGeometry(wheel_radius=0.25)
@@ -680,7 +693,7 @@ class TestTraceExport:
             W(401.0, S(360.0, 90.0, 90.0)), W(402.0, S(0.0, 90.0, 90.0)),
             W(403.0, S(0.0, 90.0, -90.0)), W(803.0, S(360.0, 90.0, -90.0))))
         path = tmp_path / "trace.csv"
-        peak = self.peak_writing(analyse(trajectory, Policy.LENIENT), path)
+        peak = self.peak_writing(analyse(trajectory), path)
         assert path.read_bytes().count(b"\n") == 2 * 20_000 + 3 * 50 + 1 + 1
         assert peak < 2 * 1024 * 1024
 

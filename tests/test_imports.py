@@ -11,11 +11,12 @@ import pytest
 
 import homeowheel
 
-# Every name ``homeowheel`` exported while ``__init__`` imported each module.
+# Every name ``homeowheel`` exported while ``__init__`` imported each module,
+# less ``Policy``: only ``check`` takes a policy, as its own option.
 PUBLIC_NAMES = (
     "DEFAULT_GEOMETRY", "DEFAULT_LIMITS", "FramePoses", "HOME_STATE", "IDENTITY_QUATERNION",
     "IntegrityReport", "IntegrityViolation", "InvalidAxis", "InvalidParameter",
-    "MechanismGeometry", "Motion", "Policy", "Pose", "RangeViolation", "RateInfeasible",
+    "MechanismGeometry", "Motion", "Pose", "RangeViolation", "RateInfeasible",
     "ScaledQuantities", "ScalingModel", "ServoLimits", "ServoState", "SimTrace", "TraceEvent",
     "TraceSample", "Trajectory", "TrajectoryParseError", "TwistLedger", "UnitQuaternion",
     "ValidationFailure", "Waypoint", "ZeroDistance", "analyse", "build_rotate_wheel_2n",
@@ -47,6 +48,13 @@ def test_unknown_names_are_attribute_errors():
         homeowheel.nope  # noqa: B018
     with pytest.raises(ImportError):
         exec("from homeowheel import nope", {})
+
+
+def test_the_policy_is_no_public_name():
+    from homeowheel import executor
+    with pytest.raises(ImportError):
+        exec("from homeowheel import Policy", {})
+    assert "Policy" not in homeowheel.__all__ and not hasattr(executor, "Policy")
 
 
 def test_the_executor_still_resolves_the_names_the_benchmark_wraps():

@@ -1,6 +1,7 @@
 """Artefacts are written all or nothing: a failed write leaves the target as
 it was and no temporary file beside it."""
 
+import contextlib
 import errno
 import os
 import stat
@@ -304,12 +305,41 @@ def test_dev_stdout_on_a_pipe_is_written_in_place():
     assert done.stdout[len(text):].startswith("waypoints=")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_dev_stdout_appended_to_a_file_is_written_in_place(tmp_path):
+    # As ``--out /dev/stdout >> r.txt``: open truncates the file that
+    # standard output is open on, and the summary follows the JSON there.
+    report = tmp_path / "r.txt"
+    report.write_bytes(OLD)
+    inode = report.stat().st_ino
+    with open(report, "ab") as stdout:
+        done = subprocess.run([sys.executable, "-m", "homeowheel", "plan", "--target-deg", "10",
+                               "--out", "/dev/stdout"], env=child_env(), stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    assert report.stat().st_ino == inode
+    text = trajectory_to_json(plan_rotation(10.0))
+    content = report.read_text(encoding="utf-8")
+    assert content.startswith(text) and content[len(text):].startswith("waypoints=")
+    only(tmp_path, "r.txt")
+
+
+def test_a_target_that_ends_in_a_separator_gets_the_error_of_open(capsys, tmp_path):
+    target = str(tmp_path / "x.json") + os.sep
+    code, stdout, stderr = invoke(capsys, "plan", "--target-deg", "10", "--out", target)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"homeowheel: error: [Errno {errno.EISDIR}] Is a directory: {target!r}\n"
+    only(tmp_path)
+
+
 TRAJECTORY = build_rotate_wheel_2n(1)
 TEXT = trajectory_to_json(TRAJECTORY)
 
 
-def make_target(directory: Path, kind: str, mode: int) -> Path:
+def make_target(directory: Path, kind: str, mode: int) -> Path | str:
     """A target of ``kind`` in ``directory``, an existing file given ``mode``."""
+    if kind == "slash":  # a str: a Path drops the separator
+        return str(directory / "out") + os.sep
     if kind == "fifo":
         os.mkfifo(directory / "pipe")
         return directory / "pipe"
@@ -338,9 +368,25 @@ def state(directory: Path) -> dict:
     return entries
 
 
+@contextlib.contextmanager
+def standard_input_on(path: Path | None):
+    """Standard input open on ``path``, if any, while the block runs."""
+    if path is None:
+        yield
+        return
+    saved, fd = os.dup(0), os.open(path, os.O_RDONLY)
+    try:
+        os.dup2(fd, 0)
+        yield
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+        os.close(fd)
+
+
 def written(target: Path, write) -> bytes | None:
     """Run ``write``; the bytes a reader of ``target`` got if it is a FIFO."""
-    if not target.is_fifo():
+    if not Path(target).is_fifo():
         write()
         return None
     received = []
@@ -355,7 +401,8 @@ def written(target: Path, write) -> bytes | None:
 
 
 @settings(max_examples=80, deadline=None)
-@given(kind=st.sampled_from(["new", "existing", "link", "dangling", "long", "fifo"]),
+@given(kind=st.sampled_from(["new", "existing", "link", "dangling", "long", "fifo", "stdio",
+                             "slash"]),
        mode=st.sampled_from([0o600, 0o640, 0o604, 0o755]), depth=st.integers(0, 2),
        fail_at=st.none() | st.integers(0, len(TEXT) - 1),
        error=st.sampled_from([OSError, KeyboardInterrupt]))
@@ -366,6 +413,10 @@ def test_outputs_writes_what_open_writes_or_nothing(tmp_path_factory, kind, mode
     reference = make_target(reference_dir, kind, mode)
     target = make_target(directory, kind, mode)
     before = state(directory)
+    # "stdio": an existing file that a standard stream is open on, as standard
+    # output is for ``--out /dev/stdout >> file`` (standard input here, which
+    # leaves the test's output alone); open truncates it in place.
+    inode = os.stat(target).st_ino if kind == "stdio" else None
 
     def write_reference():
         with open(reference, "w", encoding="utf-8") as out:
@@ -373,12 +424,20 @@ def test_outputs_writes_what_open_writes_or_nothing(tmp_path_factory, kind, mode
 
     def write():
         # depth blocks around the writer's own, as simulate nests its writers
-        with Outputs() as outer, Outputs() as inner:
+        with standard_input_on(target if kind == "stdio" else None), \
+                Outputs() as outer, Outputs() as inner:
             path = target
             for block in (outer, inner)[:depth]:
                 path = block.stage(path)
             write_trajectory_file(TRAJECTORY, path)
 
+    if kind == "slash":  # open's own error, before anything is written
+        with pytest.raises(IsADirectoryError):
+            write_reference()
+        with pytest.raises(IsADirectoryError):
+            write()
+        assert state(directory) == before == {}
+        return
     expected = written(reference, write_reference)
     with pytest.MonkeyPatch.context() as patch:
         if fail_at is not None:
@@ -387,8 +446,12 @@ def test_outputs_writes_what_open_writes_or_nothing(tmp_path_factory, kind, mode
                 got = written(target, write)
         else:
             got = written(target, write)
+    if inode is not None:
+        assert os.stat(target).st_ino == inode
     if fail_at is None:
         assert state(directory) == state(reference_dir)
         assert got == expected
+    elif kind == "stdio":  # what open writes before the failure
+        assert Path(target).read_bytes() == TEXT[:fail_at].encode("utf-8")
     else:
         assert state(directory) == before

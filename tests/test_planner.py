@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from homeowheel import planner
-from homeowheel.errors import InvalidParameter, RateInfeasible, ValidationFailure
+from homeowheel.errors import InvalidParameter, RateInfeasible
 from homeowheel.executor import validate_trajectory
 from homeowheel.mechanism import MechanismGeometry, ServoLimits, ServoState
 from homeowheel.planner import (
@@ -115,8 +115,17 @@ class TestPlanRotation:
             plan_rotation(-(MAX_PLAN_SWEEPS + 0.5), limits=limits)
         assert count_engaged_sweeps(plan_rotation(4000.0, limits=limits)) == 4000
 
+    def test_the_largest_plan_is_a_file_that_check_reads(self):
+        # A plan has at most 3 waypoints per sweep and 3 more, and a file
+        # of more than MAX_WAYPOINTS is a parse error.
+        largest = plan_rotation(360.0 * MAX_PLAN_SWEEPS)
+        assert count_engaged_sweeps(largest) == MAX_PLAN_SWEEPS
+        assert len(largest.waypoints) == MAX_WAYPOINTS
+
     def test_rejects_out_of_range_start(self):
-        with pytest.raises(ValidationFailure):
+        with pytest.raises(InvalidParameter, match=r"start ServoState\(s1=400.0, s2=0.0, "
+                           r"s3=0.0\) is outside the limits: RangeViolation servo1: 400.0 "
+                           r"outside \[0.0, 360.0\]"):
             plan_rotation(90.0, start=ServoState(400.0, 0.0, 0.0))
 
     def test_rejects_limits_without_driving_configurations(self):

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -14,13 +15,17 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from homeowheel.cli import run
-from homeowheel.errors import TrajectoryParseError, ValidationFailure
+from homeowheel.errors import (
+    InvalidParameter,
+    RateInfeasible,
+    TrajectoryParseError,
+    ValidationFailure,
+)
 from homeowheel.executor import (
     _RATE_GUARD,
     FLAG_GIMBAL_LOCK_RISK,
     DisengagedShaftMotion,
     EmptyTrajectory,
-    Policy,
     RateViolation,
     TimeOrderViolation,
     Trajectory,
@@ -73,7 +78,7 @@ def limits(draw):
 
 
 # Limits that admit every angle and rate the strategies draw, so that some
-# trajectories pass the lenient policy.
+# trajectories have no violation but disengaged shaft motion.
 WIDE_LIMITS = ServoLimits((-400.0, 400.0), (-400.0, 400.0), (-400.0, 400.0),
                           4000.0, 4000.0, 4000.0)
 
@@ -97,7 +102,8 @@ def trajectories(draw, joint=joint):
 @given(trajectories())
 def test_lenient_clean_trajectories_pass_the_integrity_certificate(trajectory):
     motion = analyse(trajectory, check=False)
-    violations = validate_trajectory(trajectory, policy=Policy.LENIENT)
+    violations = [v for v in validate_trajectory(trajectory)
+                  if not isinstance(v, DisengagedShaftMotion)]
     if not violations:
         event("lenient-clean")
         assert motion.integrity.ok
@@ -349,8 +355,7 @@ def test_certificate_is_check_integrity_over_the_waypoints(trajectory, data):
     assert repr(integrity) == repr(reference)
 
 
-def reference_validate_trajectory(trajectory: Trajectory,
-                                  policy: Policy = Policy.STRICT) -> list[Violation]:
+def reference_validate_trajectory(trajectory: Trajectory) -> list[Violation]:
     """The standalone validator that analyse replaced, kept as the reference."""
     waypoints = trajectory.waypoints
     if not waypoints:
@@ -371,29 +376,27 @@ def reference_validate_trajectory(trajectory: Trajectory,
             max_rate = trajectory.limits.rate_of(servo)
             if rate > max_rate * (1.0 + _RATE_GUARD):
                 violations.append(RateViolation(i, f"servo{servo[-1]}", rate, max_rate))
-        if policy is Policy.STRICT:
-            d_s1 = b.state.s1 - a.state.s1
-            if d_s1 != 0.0 and segment_drive(a.state, b.state) == 0:
-                violations.append(DisengagedShaftMotion(i, a.t, b.t, d_s1))
+        d_s1 = b.state.s1 - a.state.s1
+        if d_s1 != 0.0 and segment_drive(a.state, b.state) == 0:
+            violations.append(DisengagedShaftMotion(i, a.t, b.t, d_s1))
     return violations
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(unchecked_trajectories(), unchecked_trajectories().map(
-           lambda t: Trajectory(t.geometry, WIDE_LIMITS, t.waypoints))),
-       st.sampled_from(list(Policy)))
-def test_analyse_reports_the_reference_violations(trajectory, policy):
-    expected = reference_validate_trajectory(trajectory, policy)
-    assert validate_trajectory(trajectory, policy) == expected
-    motion = analyse(trajectory, policy, check=False)
+           lambda t: Trajectory(t.geometry, WIDE_LIMITS, t.waypoints))))
+def test_analyse_reports_the_reference_violations(trajectory):
+    expected = reference_validate_trajectory(trajectory)
+    assert validate_trajectory(trajectory) == expected
+    motion = analyse(trajectory, check=False)
     assert list(motion.violations) == expected
-    lenient = reference_validate_trajectory(trajectory, Policy.LENIENT)
-    if lenient:
+    hard = [v for v in expected if not isinstance(v, DisengagedShaftMotion)]
+    if hard:
         with pytest.raises(ValidationFailure) as failure:
-            analyse(trajectory, policy)
-        assert failure.value.violations == lenient
+            analyse(trajectory)
+        assert failure.value.violations == hard
     else:
-        assert analyse(trajectory, policy) == motion
+        assert analyse(trajectory) == motion
 
 
 @settings(max_examples=200, deadline=None)
@@ -406,6 +409,57 @@ def test_plan_sweep_count_is_bounded_by_the_s1_span(span_eighths, start_eighths,
     expected = 0 if target == 0 else 1 + math.ceil(max(abs(target) - first, 0.0) / span)
     assert count_engaged_sweeps(trajectory) == expected <= math.ceil(abs(target) / span) + 1
     assert analyse(trajectory).final_theta_deg == target
+
+
+# Range ends that sometimes exclude the home angle 0, the clutch angles +-90
+# or the sweep end 360, and rates over eleven decades.
+range_los = st.sampled_from([-400.0, -360.0, -90.0, -45.0, 0.0, 10.0])
+range_his = st.sampled_from([45.0, 90.0, 100.0, 359.5, 360.0, 400.0])
+servo_rates = st.floats(-7.0, 4.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def builder_limits(draw):
+    ranges = (draw(st.one_of(st.just(default), st.tuples(range_los, range_his)))
+              for default in ((0.0, 360.0), (-90.0, 90.0), (-90.0, 90.0)))
+    return ServoLimits(*ranges, draw(servo_rates), draw(servo_rates), draw(servo_rates))
+
+
+@st.composite
+def builder_calls(draw):
+    """A call of one of the builders under drawn limits, the gait at and just
+    above its least period."""
+    limits = draw(builder_limits())
+    builder = draw(st.sampled_from(["simulate", "plan", "gait"]))
+    if builder == "simulate":
+        return partial(build_rotate_wheel_2n, draw(st.integers(1, 20)), limits=limits)
+    if builder == "plan":
+        return partial(plan_rotation, draw(st.floats(-2000.0, 2000.0)), limits=limits)
+    period = 2.0 * (360.0 / limits.s1_max_rate
+                    + max(180.0 / limits.s2_max_rate, 180.0 / limits.s3_max_rate))
+    steps = draw(st.sampled_from([0, 1, 3, 100, 10 ** 6]))
+    for _ in range(min(steps, 3)):
+        period = math.nextafter(period, math.inf)
+    if steps > 3:
+        period *= 1.0 + steps * 2.0 ** -52
+    return partial(generate_gait, period, draw(st.integers(1, 50)), limits=limits)
+
+
+@settings(max_examples=400, deadline=None)
+@given(builder_calls())
+def test_builders_emit_only_trajectories_that_pass_their_own_analysis(build):
+    # Each builder rejects its inputs, or keeps every servo in its range and
+    # within its rate, in time order, with the clutch closed on every shaft move.
+    try:
+        trajectory = build()
+    except (InvalidParameter, RateInfeasible) as exc:
+        event(type(exc).__name__)
+        return
+    event("built")
+    motion = analyse(trajectory, check=False)
+    assert motion.violations == ()
+    assert motion.events == ()
+    assert motion.integrity.ok
 
 
 # --------------------------------------------------------------------------

@@ -94,11 +94,14 @@ def _resolve_setup(args) -> tuple[MechanismGeometry, ServoLimits]:
 
 
 def _analyse(trajectory):
-    """``analyse(trajectory)``, whose odometry must stay in the float range:
-    |x_m| peaks at a waypoint, where |theta_wheel_deg| does."""
+    """The builders' guard, before any file is written: ``analyse(trajectory)``
+    must find no violation (:class:`ValidationFailure` lists them) and keep
+    x_m in the float range: |x_m| peaks at a waypoint, where |theta| does."""
     from . import executor
 
     motion = executor.analyse(trajectory)
+    if motion.violations:
+        raise ValidationFailure(motion.violations)
     radius = trajectory.geometry.wheel_radius
     peak = max(map(abs, motion.theta_deg))
     if not math.isfinite(radius * math.radians(peak)):
@@ -123,12 +126,6 @@ def _print_motion_summary(motion) -> None:
     print(f"events={len(motion.events)}")
 
 
-def _report_violations(violations) -> None:
-    print(f"violations={len(violations)}")
-    for violation in violations:
-        print(f"violation={violation}")
-
-
 def cmd_simulate(args) -> int:
     from . import executor, fileformat
 
@@ -142,8 +139,8 @@ def cmd_simulate(args) -> int:
         if args.out_traj:
             fileformat.write_trajectory_file(trajectory, outputs.stage(args.out_traj))
     _print_motion_summary(motion)
-    _report_violations(motion.violations)
-    return EXIT_OK if not motion.violations else EXIT_VIOLATION
+    print("violations=0")
+    return EXIT_OK
 
 
 def cmd_plan(args) -> int:
@@ -161,8 +158,8 @@ def cmd_plan(args) -> int:
     print(f"engaged_sweeps={planner.count_engaged_sweeps(trajectory)}")
     print(f"predicted_theta_wheel_deg={_fmt(motion.final_theta_deg)}")
     print(f"predicted_x_m={_fmt(motion.final_x_m)}")
-    _report_violations(motion.violations)
-    return EXIT_OK if not motion.violations else EXIT_VIOLATION
+    print("violations=0")
+    return EXIT_OK
 
 
 def cmd_gait(args) -> int:
@@ -177,20 +174,22 @@ def cmd_gait(args) -> int:
     print(f"period_s={_fmt(args.period_s)}")
     print(f"cycles={args.cycles}")
     _print_motion_summary(motion)
-    _report_violations(motion.violations)
-    return EXIT_OK if not motion.violations else EXIT_VIOLATION
+    print("violations=0")
+    return EXIT_OK
 
 
 def cmd_check(args) -> int:
     from . import executor, fileformat
 
     trajectory = fileformat.read_trajectory_file(args.trajectory)
-    motion = executor.analyse(trajectory, check=False)
+    motion = executor.analyse(trajectory)
     violations = motion.violations
     if args.policy == "lenient":  # disengaged shaft motion stays an event
         violations = [v for v in violations if not isinstance(v, executor.DisengagedShaftMotion)]
     report = motion.integrity
-    _report_violations(violations)
+    print(f"violations={len(violations)}")
+    for violation in violations:
+        print(f"violation={violation}")
     print(f"integrity_ok={int(report.ok)}")
     for issue in report.violations:
         print(f"integrity_violation={issue}")

@@ -107,15 +107,15 @@ class TraceEvent(record("TraceEvent", "t kind detail")):
 
 
 class Motion(record("Motion", "trajectory theta_deg drives flags events integrity "
-                    "violations", defaults=((),))):
+                    "violations")):
     """What a trajectory does, computed once per segment from its waypoints.
 
     ``theta_deg[k]`` is the wheel angle at waypoint k (0 at the first);
     ``drives[i]`` and ``flags[i]`` are segment i's wheel coupling (see
     :func:`segment_drive`) and event flags. ``integrity`` certifies the
     twist of every tegument segment over the whole path. ``violations`` are
-    the trajectory's constraint violations, disengaged shaft motion
-    included. The sequences are tuples.
+    all the trajectory's constraint violations, disengaged shaft motion
+    included; none of them raises. The sequences are tuples.
     """
 
     __slots__ = ()
@@ -285,7 +285,7 @@ def _gimbal_entry(a: ServoState, b: ServoState) -> float | None:
     return lo if lo <= hi else None
 
 
-def analyse(trajectory: Trajectory, *, check: bool = True) -> Motion:
+def analyse(trajectory: Trajectory) -> Motion:
     """Wheel angle, events, constraint violations and twist certificate of a
     trajectory, in one pass over its waypoints and one over its segments.
 
@@ -306,11 +306,13 @@ def analyse(trajectory: Trajectory, *, check: bool = True) -> Motion:
     convexity; in particular a 350 -> 10 segment is the -340 sweep, never a
     +20 wraparound, and is legal only if the rate limit admits it.
 
-    With ``check`` (the default), the violations other than
-    :class:`DisengagedShaftMotion` raise :class:`ValidationFailure`. With
-    ``check=False`` the trajectory is analysed as-is, which lets diagnostic
-    tools report on broken files. A trajectory without waypoints raises
-    either way.
+    Every segment that moves the shaft with the clutch open is tested for the
+    gimbal zone, whatever its duration; a segment without duration quotes an
+    infinite rate. A segment that does not drive leaves the wheel angle as it
+    is, even where its shaft delta overflows.
+
+    No violation raises: callers read ``violations``. Only a trajectory
+    without waypoints raises :class:`ValidationFailure`.
     """
     waypoints = trajectory.waypoints
     if not waypoints:
@@ -358,21 +360,21 @@ def analyse(trajectory: Trajectory, *, check: bool = True) -> Motion:
                     violations.append(RateViolation(i, servo, rate, max_rate))
             if disengaged:
                 violations.append(DisengagedShaftMotion(i, a.t, b.t, d_s1))
-        s1_rate = d_s1 / seg_dt if seg_dt > 0.0 else 0.0
-        entry = _gimbal_entry(a.state, b.state) if s1_rate != 0.0 else None
+        # Only a disengaged segment can reach s2 = s3 = 0.
+        entry = _gimbal_entry(a.state, b.state) if disengaged else None
         if entry is not None:
+            s1_rate = d_s1 / seg_dt if seg_dt else math.copysign(math.inf, d_s1)
+            # A duration past the float range is interpolated from both ends.
+            t_entry = (a.t + seg_dt * entry if math.isfinite(seg_dt)
+                       else a.t * (1.0 - entry) + b.t * entry)
             seg_flags |= FLAG_GIMBAL_LOCK_RISK
             events.append(TraceEvent(
-                a.t + seg_dt * entry, EVENT_GIMBAL_LOCK_RISK,
+                t_entry, EVENT_GIMBAL_LOCK_RISK,
                 f"segment {i}: shaft turning at {s1_rate!r} deg/s through s2=s3=0"))
-        theta.append(theta[-1] + drive * d_s1)
+        theta.append(theta[-1] + drive * d_s1 if drive else theta[-1])
         drives.append(drive)
         flags.append(seg_flags)
 
-    if check:
-        hard = [v for v in violations if not isinstance(v, DisengagedShaftMotion)]
-        if hard:
-            raise ValidationFailure(hard)
     events.sort(key=lambda e: (e.t, e.kind))  # stable: emission order breaks ties
     # As check_integrity: maxima from 0.0, never raised by a NaN, ints kept.
     angle = {"servo1": attrgetter("state.s1"), "servo2": attrgetter("state.s2"),
@@ -385,11 +387,11 @@ def analyse(trajectory: Trajectory, *, check: bool = True) -> Motion:
 
 def validate_trajectory(trajectory: Trajectory) -> list[Violation]:
     """Every constraint violation of the trajectory: the ``violations`` of
-    ``analyse(trajectory, check=False)``, or ``[EmptyTrajectory()]`` when it
-    has no waypoints."""
+    ``analyse(trajectory)``, or ``[EmptyTrajectory()]`` when it has no
+    waypoints."""
     if not trajectory.waypoints:
         return [EmptyTrajectory()]
-    return list(analyse(trajectory, check=False).violations)
+    return list(analyse(trajectory).violations)
 
 
 # perfbench/traced.py wraps these four by their names in this module; they

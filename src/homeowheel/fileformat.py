@@ -23,7 +23,7 @@ import math
 import os
 import stat
 import sys
-from itertools import chain
+from itertools import chain, count
 
 from .errors import InvalidParameter, TrajectoryParseError
 from .executor import MAX_WAYPOINTS, Trajectory, Waypoint
@@ -69,19 +69,33 @@ def _header(geometry: MechanismGeometry, limits: ServoLimits) -> dict:
 _WAYPOINT_JSON = '\n    {\n      "t": %r,\n      "s1": %r,\n      "s2": %r,\n      "s3": %r\n    }'
 
 
+def _file_value(index: int, value) -> float:
+    """Value ``index`` of the flattened (t, s1, s2, s3) rows as a float, if
+    the parser's own test of a waypoint field passes it."""
+    try:
+        return _number(value, ("t", *_SERVOS)[index % 4], f"$.waypoints[{index // 4}]")
+    except TrajectoryParseError as exc:
+        raise InvalidParameter(f"cannot write the trajectory: {exc}") from exc
+
+
 def trajectory_to_json(trajectory: Trajectory) -> str:
     """Serialize to the versioned trajectory file format (deterministic bytes):
-    ``json.dumps`` of the header and the waypoints with ``indent=2``."""
-    doc = _header(trajectory.geometry, trajectory.limits)
+    ``json.dumps`` of the header and the waypoints with ``indent=2``, every
+    waypoint value written as its float.
+
+    Only what :func:`parse_trajectory` reads back is written: no waypoints,
+    more than :data:`MAX_WAYPOINTS`, a bool or a value that is not a finite
+    number (an int beyond the float range included) raise InvalidParameter."""
     rows = [(t, *state) for t, state in trajectory.waypoints]
+    if not 0 < len(rows) <= MAX_WAYPOINTS:
+        raise InvalidParameter(f"a trajectory file holds 1 to MAX_WAYPOINTS ({MAX_WAYPOINTS}) "
+                               f"waypoints, not {len(rows)}")
     values = list(chain.from_iterable(rows))
-    if rows and set(map(type, values)) == {float} and all(map(math.isfinite, values)):
-        frame = json.dumps(doc, indent=2)
-        return (frame[:-2] + ',\n  "waypoints": ['
-                + ",".join(map(_WAYPOINT_JSON.__mod__, rows)) + "\n  ]\n}\n")
-    # json writes ints, bools and non-finite floats in its own way.
-    doc["waypoints"] = [{"t": t, "s1": s1, "s2": s2, "s3": s3} for t, s1, s2, s3 in rows]
-    return json.dumps(doc, indent=2) + "\n"
+    if not (set(map(type, values)) == {float} and all(map(math.isfinite, values))):
+        rows = list(zip(*[map(_file_value, count(), values)] * 4))
+    frame = json.dumps(_header(trajectory.geometry, trajectory.limits), indent=2)
+    return (frame[:-2] + ',\n  "waypoints": ['
+            + ",".join(map(_WAYPOINT_JSON.__mod__, rows)) + "\n  ]\n}\n")
 
 
 def write_trajectory_file(trajectory: Trajectory, path) -> None:

@@ -169,7 +169,7 @@ def generate_gait(period_s: float, cycles: int,
     # move with no more spare time than that can fail the rate test.
     spare = min(t_sweep - sweep_min, half - t_sweep - dwell_min)
     if spare <= 4.0 * math.ulp(times[-1]):
-        slow = analyse(gait, check=False).violations
+        slow = analyse(gait).violations
         if slow:
             raise RateInfeasible(
                 f"period {period_s!r} s over {cycles} cycles is infeasible: rounding the "

@@ -217,8 +217,7 @@ def _block_rows(block: tuple) -> Iterable[tuple]:
                  for column in block[:8]))
 
 
-def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
-             check: bool = True) -> SimTrace:
+def simulate(trajectory: Trajectory, sample_rate: float = 50.0) -> SimTrace:
     """:func:`analyse` the trajectory, then sample it for the trace export.
 
     Samples interpolate each segment linearly; results are exact at
@@ -226,14 +225,14 @@ def simulate(trajectory: Trajectory, sample_rate: float = 50.0, *,
     radians at every sample. A sample carries its segment's event flags
     (the last sample those of the last segment), and is engaged at a
     waypoint iff that waypoint is, between waypoints iff its segment turns
-    the wheel. ``check`` is that of :func:`analyse`.
+    the wheel. No violation raises; :func:`analyse` lists them.
 
     The sample count is computed first; more than :data:`MAX_TRACE_SAMPLES`
     raise InvalidParameter. :func:`write_trace_file` streams the same rows
     to a file without building them here.
     """
     counts = _sample_counts(trajectory, sample_rate)
-    motion = analyse(trajectory, check=check)
+    motion = analyse(trajectory)
     rows = chain.from_iterable(map(_block_rows, _trace_blocks(motion, counts, 0, len(counts))))
     samples = tuple(TraceSample(t, ServoState(s1, s2, s3), theta, x, is_engaged, flags)
                     for t, s1, s2, s3, theta, x, is_engaged, flags in rows)

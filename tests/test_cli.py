@@ -276,7 +276,8 @@ def test_plan_from_a_home_state_outside_the_limits_is_a_usage_error(capsys, tmp_
 
 def test_a_builder_output_that_fails_analysis_is_reported_not_written(capsys, tmp_path,
                                                                       monkeypatch):
-    # No builder emits such a trajectory; analyse still guards the file.
+    # No builder emits such a trajectory; the builders' guard still keeps
+    # the file from being written, listing every violation of the plan.
     bad = Trajectory(waypoints=(Waypoint(0.0, ServoState(0.0, 0.0, 0.0)),
                                 Waypoint(1.0, ServoState(400.0, 0.0, 0.0))))
     monkeypatch.setattr(planner, "plan_rotation", lambda *args, **kwargs: bad)
@@ -286,8 +287,28 @@ def test_a_builder_output_that_fails_analysis_is_reported_not_written(capsys, tm
     assert stdout.splitlines() == [
         "error=ValidationFailure",
         "violation=RangeViolation servo1 at waypoint 1: 400.0 outside [0.0, 360.0]",
-        "violation=RateViolation servo1 on segment 0: 400.0 deg/s exceeds 360.0 deg/s"]
+        "violation=RateViolation servo1 on segment 0: 400.0 deg/s exceeds 360.0 deg/s",
+        "violation=DisengagedShaftMotion on segment 0 [0.0, 1.0]: shaft moves 400.0 deg "
+        "with the clutch open"]
     assert not out.exists()
+
+
+def test_a_builder_output_with_the_clutch_open_is_reported_not_written(capsys, tmp_path,
+                                                                       monkeypatch):
+    # Disengaged shaft motion is a violation for every builder: nothing is
+    # written, not the trace nor the trajectory.
+    held = Trajectory(waypoints=(Waypoint(0.0, ServoState(0.0, 0.0, 0.0)),
+                                 Waypoint(1.0, ServoState(90.0, 0.0, 0.0))))
+    monkeypatch.setattr(executor, "build_rotate_wheel_2n", lambda *args, **kwargs: held)
+    csv, traj = tmp_path / "trace.csv", tmp_path / "traj.json"
+    code, stdout, stderr = invoke(capsys, "simulate", "--n", "1", "--out", str(csv),
+                                  "--out-traj", str(traj))
+    assert (code, stderr) == (1, "")
+    assert stdout.splitlines() == [
+        "error=ValidationFailure",
+        "violation=DisengagedShaftMotion on segment 0 [0.0, 1.0]: shaft moves 90.0 deg "
+        "with the clutch open"]
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
@@ -475,7 +496,8 @@ class TestCheckCommand:
 
     def test_events_at_equal_times_keep_segment_order(self, capsys, tmp_path):
         # Segments 1..10 all start at t=1 and move the shaft with the clutch
-        # open; their events print in segment order, not string order.
+        # open through s2=s3=0 in no time; their events print in segment
+        # order, not string order.
         trajectory = Trajectory(waypoints=tuple(
             Waypoint(min(k, 1) * 1.0, ServoState(10.0 * k, 0.0, 0.0)) for k in range(12)))
         path = tmp_path / "ties.json"
@@ -486,7 +508,25 @@ class TestCheckCommand:
                   if line.startswith("event=")]
         assert events == ["event=DisengagedShaftMotion t=0 segment 0",
                           "event=GimbalLockRisk t=0 segment 0"] + [
-            f"event=DisengagedShaftMotion t=1 segment {i}" for i in range(1, 11)]
+            f"event=DisengagedShaftMotion t=1 segment {i}" for i in range(1, 11)] + [
+            f"event=GimbalLockRisk t=1 segment {i}" for i in range(1, 11)]
+
+    def test_a_held_wheel_keeps_its_angle_when_the_shaft_delta_overflows(self, capsys, tmp_path):
+        # s1 runs from 1e308 to -1e308 with the clutch open: the delta
+        # overflows to -inf, and 0 * -inf once made the wheel angle NaN.
+        limits = ServoLimits(s1_range=(-1e308, 1e308), s1_max_rate=sys.float_info.max)
+        trajectory = Trajectory(limits=limits, waypoints=(
+            Waypoint(0.0, ServoState(1e308, 45.0, 45.0)),
+            Waypoint(2.0, ServoState(-1e308, 45.0, 45.0))))
+        path = tmp_path / "held.json"
+        write_trajectory_file(trajectory, path)
+        code, stdout, _ = invoke(capsys, "check", str(path), "--policy", "lenient")
+        assert code == 0
+        assert "theta_wheel_deg=0.000000000" in stdout.splitlines()
+        assert stdout.splitlines()[-3:] == [
+            "events=1",
+            "event=DisengagedShaftMotion t=0 segment 0: shaft delta -inf deg with the clutch open",
+            "ok=1"]
 
 
 class TestScaleCommand:

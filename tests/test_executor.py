@@ -24,6 +24,7 @@ from homeowheel.executor import (
     DisengagedShaftMotion,
     RateViolation,
     TimeOrderViolation,
+    TraceEvent,
     Trajectory,
     Waypoint,
     WaypointRangeViolation,
@@ -170,6 +171,27 @@ class TestSimulate:
         # Timed where both servos enter the tolerance zone around zero.
         assert risky[0].t == pytest.approx((90.0 - GIMBAL_TOL) / 180.0, rel=0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("t_end, s1_end, rate", [
+        (0.0, 90.0, "inf"), (-1.0, -90.0, "90.0"), (2.0, 5e-324, "0.0")],
+        ids=["zero duration", "negative duration", "underflowing rate"])
+    def test_gimbal_zone_is_tested_whatever_the_duration(self, t_end, s1_end, rate):
+        # Any shaft move with the clutch open through s2=s3=0 is a risk; the
+        # event quotes the rate as computed, infinite without a duration.
+        trajectory = Trajectory(waypoints=(Waypoint(0.0, S(0.0, 0.0, 0.0)),
+                                           Waypoint(t_end, S(s1_end, 0.0, 0.0))))
+        motion = analyse(trajectory)
+        assert motion.flags[0] & FLAG_GIMBAL_LOCK_RISK
+        assert [e for e in motion.events if e.kind == EVENT_GIMBAL_LOCK_RISK] == [
+            TraceEvent(0.0, EVENT_GIMBAL_LOCK_RISK,
+                       f"segment 0: shaft turning at {rate} deg/s through s2=s3=0")]
+
+    def test_gimbal_entry_of_a_duration_past_the_float_range_is_finite(self):
+        trajectory = Trajectory(waypoints=(Waypoint(-1e308, S(0.0, 0.0, -90.0)),
+                                           Waypoint(1e308, S(90.0, 0.0, 90.0))))
+        risky = [e for e in analyse(trajectory).events if e.kind == EVENT_GIMBAL_LOCK_RISK]
+        # s3 enters the zone at alpha = (90 - GIMBAL_TOL) / 180: just before t = 0.
+        assert [e.t for e in risky] == [pytest.approx(-1e308 * GIMBAL_TOL / 90.0, rel=1e-6)]
+
     def test_mixed_configuration_segment_holds_the_wheel(self):
         trajectory = make_trajectory([(0, 90, -90), (90, -90, 90)])
         trace = simulate(trajectory)
@@ -240,15 +262,15 @@ class TestSimulate:
             write_trace_file(analyse(trajectory), path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_invalid_trajectory_raises(self):
+    def test_invalid_trajectory_is_sampled_and_reported(self):
+        # No violation raises: the trace samples the path and its events
+        # carry the out-of-range waypoint.
         trajectory = make_trajectory([(0, 0, 0), (400, 0, 0)])
-        with pytest.raises(ValidationFailure):
-            simulate(trajectory)
-
-    def test_tolerant_mode_reports_instead_of_raising(self):
-        trajectory = make_trajectory([(0, 0, 0), (400, 0, 0)])
-        trace = simulate(trajectory, check=False)
-        assert any(e.kind == EVENT_RANGE_VIOLATION for e in trace.events)
+        trace = simulate(trajectory)
+        assert trace.samples[-1].state == S(400.0, 0.0, 0.0)
+        assert [e for e in trace.events if e.kind == EVENT_RANGE_VIOLATION] == [
+            TraceEvent(1.0, EVENT_RANGE_VIOLATION,
+                       "waypoint 1: RangeViolation servo1: 400 outside [0.0, 360.0]")]
 
     def test_rejects_bad_sample_rate(self):
         trajectory = build_rotate_wheel_2n(1)
@@ -273,7 +295,7 @@ class TestSimulate:
                                       (100, 90, -90)], duration=0.25)
         trajectory = Trajectory(waypoints=trajectory.waypoints + (
             Waypoint(0.75, S(100.0, 90.0, -90.0)),))  # a time-order violation
-        trace = simulate(trajectory, rate, check=False)
+        trace = simulate(trajectory, rate)
         assert len(trace.samples) == self.closed_form_samples(trajectory, rate)
 
     def test_sample_cap_is_checked_before_sampling(self, monkeypatch):
@@ -364,8 +386,8 @@ class TestValidateTrajectory:
         assert TimeOrderViolation in kinds
 
     def test_analyse_walks_each_waypoint_and_segment_once(self, monkeypatch):
-        # Validation is part of analyse's walk, checked or not: one range
-        # check per waypoint, one clutch test per segment.
+        # Validation is part of analyse's walk: one range check per
+        # waypoint, one clutch test per segment.
         calls = []
         for name in ("validate_state", "segment_drive"):
             def counted(*args, _fn=getattr(executor, name), _name=name, **kwargs):
@@ -373,8 +395,7 @@ class TestValidateTrajectory:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(executor, name, counted)
         trajectory = build_rotate_wheel_2n(3)
-        runs = [lambda: analyse(trajectory), lambda: analyse(trajectory, check=False),
-                lambda: validate_trajectory(trajectory)]
+        runs = [lambda: analyse(trajectory), lambda: validate_trajectory(trajectory)]
         for walk in runs:
             calls.clear()
             walk()
@@ -387,10 +408,9 @@ class TestValidateTrajectory:
         # every module that binds them, it returns what it did before.
         routine = build_rotate_wheel_2n(2)
         bad = make_trajectory([(0, 0, 0), (400, 95, -95), (-1, 0, 91), (0, 0, 0)])
-        runs = [lambda: analyse(routine), lambda: analyse(routine, check=False),
-                lambda: analyse(bad, check=False)]
+        runs = [lambda: analyse(routine), lambda: analyse(bad)]
         expected = [walk() for walk in runs]
-        assert not expected[2].integrity.ok
+        assert not expected[0].violations and not expected[1].integrity.ok
         for name in ("check_integrity", "TwistLedger"):
             target = getattr(tegument, name)
             for module in list(sys.modules.values()):
@@ -398,8 +418,15 @@ class TestValidateTrajectory:
                         and getattr(module, name, None) is target):
                     forbid(module, name)
         assert [walk() for walk in runs] == expected
-        with pytest.raises(ValidationFailure):
-            analyse(bad)
+        assert analyse(bad).violations == (
+            WaypointRangeViolation(1, "servo1", 400, 0.0, 360.0),
+            WaypointRangeViolation(1, "servo2", 95, -90.0, 90.0),
+            WaypointRangeViolation(1, "servo3", -95, -90.0, 90.0),
+            WaypointRangeViolation(2, "servo1", -1, 0.0, 360.0),
+            WaypointRangeViolation(2, "servo3", 91, -90.0, 90.0),
+            RateViolation(0, "servo1", 400.0, 360.0), DisengagedShaftMotion(0, 0.0, 1.0, 400),
+            RateViolation(1, "servo1", 401.0, 360.0), DisengagedShaftMotion(1, 1.0, 2.0, -401),
+            DisengagedShaftMotion(2, 2.0, 3.0, 1))
 
 
 class TestTrajectoryFiles:
@@ -411,6 +438,24 @@ class TestTrajectoryFiles:
         write_trajectory_file(trajectory, path)
         loaded = read_trajectory_file(path)
         assert loaded == trajectory
+
+    @pytest.mark.parametrize("waypoints", [
+        (), (Waypoint(0.0, S(math.nan, 0.0, 0.0)),), (Waypoint(math.inf, S(0.0, 0.0, 0.0)),),
+        (Waypoint(0.0, S(0.0, True, 0.0)),), (Waypoint(0.0, S(0.0, 0.0, 2 ** 1024)),)],
+        ids=["no waypoints", "NaN", "inf", "bool", "int past the float range"])
+    def test_writer_rejects_what_the_parser_would_before_any_file(self, tmp_path, waypoints):
+        path = tmp_path / "old.json"
+        path.write_text("old")
+        with pytest.raises(InvalidParameter):
+            write_trajectory_file(Trajectory(waypoints=waypoints), path)
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["old.json"]
+
+    def test_writer_writes_ints_as_floats(self):
+        ints = Trajectory(waypoints=(Waypoint(0, S(0, 90, -90)), Waypoint(1, S(360, 90, -90))))
+        floats = Trajectory(waypoints=(Waypoint(0.0, S(0.0, 90.0, -90.0)),
+                                       Waypoint(1.0, S(360.0, 90.0, -90.0))))
+        assert trajectory_to_json(ints) == trajectory_to_json(floats)
 
     def test_serialization_is_deterministic(self):
         trajectory = build_rotate_wheel_2n(1)
@@ -509,8 +554,8 @@ class TestTrajectoryFiles:
             parse_trajectory(json.dumps(doc))
 
     def test_max_waypoints_parse_and_one_more_is_rejected_before_any_record(self, forbid):
-        header = trajectory_to_json(Trajectory(waypoints=())).replace(
-            ',\n  "waypoints": []\n}\n', "")
+        text = trajectory_to_json(build_rotate_wheel_2n(1))
+        header = text[:text.index(',\n  "waypoints"')]
         waypoint = '{"t": 0.0, "s1": 0.0, "s2": 0.0, "s3": 0.0}'
 
         def document(count: int) -> str:

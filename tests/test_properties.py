@@ -6,7 +6,9 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -14,13 +16,9 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from homeowheel import fileformat
 from homeowheel.cli import run
-from homeowheel.errors import (
-    InvalidParameter,
-    RateInfeasible,
-    TrajectoryParseError,
-    ValidationFailure,
-)
+from homeowheel.errors import InvalidParameter, RateInfeasible, TrajectoryParseError
 from homeowheel.executor import (
     _RATE_GUARD,
     FLAG_GIMBAL_LOCK_RISK,
@@ -42,6 +40,7 @@ from homeowheel.fileformat import (
     parse_config,
     parse_trajectory,
     trajectory_to_json,
+    write_trajectory_file,
 )
 from homeowheel.mechanism import (
     GIMBAL_TOL,
@@ -101,7 +100,7 @@ def trajectories(draw, joint=joint):
 @settings(max_examples=300, deadline=None)
 @given(trajectories())
 def test_lenient_clean_trajectories_pass_the_integrity_certificate(trajectory):
-    motion = analyse(trajectory, check=False)
+    motion = analyse(trajectory)
     violations = [v for v in validate_trajectory(trajectory)
                   if not isinstance(v, DisengagedShaftMotion)]
     if not violations:
@@ -114,9 +113,9 @@ def test_lenient_clean_trajectories_pass_the_integrity_certificate(trajectory):
 @settings(max_examples=200, deadline=None)
 @given(trajectories(), sample_rates, sample_rates)
 def test_simulate_agrees_with_analyse_at_any_sample_rate(trajectory, rate_a, rate_b):
-    motion = analyse(trajectory, check=False)
+    motion = analyse(trajectory)
     for rate in (rate_a, rate_b):
-        trace = simulate(trajectory, rate, check=False)
+        trace = simulate(trajectory, rate)
         assert trace.events == motion.events
         assert trace.final_theta_deg == motion.final_theta_deg
         sampled = check_integrity([TwistLedger(s.s2, s.s1, s.s3) for s in trace.states()],
@@ -128,8 +127,8 @@ def test_simulate_agrees_with_analyse_at_any_sample_rate(trajectory, rate_a, rat
 @settings(max_examples=200, deadline=None)
 @given(trajectories(), sample_rates)
 def test_final_sample_angle_is_the_segment_sum(trajectory, rate):
-    motion = analyse(trajectory, check=False)
-    trace = simulate(trajectory, rate, check=False)
+    motion = analyse(trajectory)
+    trace = simulate(trajectory, rate)
     expected = 0.0
     for _, a, b in trajectory.segments():
         expected += segment_drive(a.state, b.state) * (b.state.s1 - a.state.s1)
@@ -156,10 +155,10 @@ near_gimbal_joint = st.one_of(joint, st.sampled_from(
 @settings(max_examples=300, deadline=None)
 @given(trajectories(near_gimbal_joint))
 def test_gimbal_risk_flags_segments_that_pass_the_degenerate_pose(trajectory):
-    motion = analyse(trajectory, check=False)
+    motion = analyse(trajectory)
     for i, a, b in trajectory.segments():
         flagged = bool(motion.flags[i] & FLAG_GIMBAL_LOCK_RISK)
-        if not (b.t > a.t and b.state.s1 != a.state.s1):
+        if b.state.s1 == a.state.s1:
             assert not flagged
             continue
         closest = _closest_approach(a.state, b.state)
@@ -185,13 +184,14 @@ def test_trajectory_files_round_trip(trajectory, geometry):
     assert parse_config(text) == (trajectory.geometry, trajectory.limits)
 
 
-# Finite floats, with the edges of their text forms, and values json writes
-# unlike repr: ints and bools (true where repr writes True) and non-finite
-# floats (Infinity where repr writes inf).
+# Finite floats, with the edges of their text forms, and values the parser
+# would not read back or reads as floats: ints (within and beyond the float
+# range), bools and non-finite floats.
 json_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                         st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308]))
 json_odd_values = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.booleans(),
-                            st.sampled_from([math.inf, -math.inf, math.nan]))
+                            st.sampled_from([math.inf, -math.inf, math.nan,
+                                             2 ** 1024, -2 ** 1024]))
 
 
 @st.composite
@@ -202,23 +202,46 @@ def json_waypoints(draw):
     return tuple(Waypoint(t, ServoState(s1, s2, s3)) for t, s1, s2, s3 in rows)
 
 
+def writable(waypoints, bound: int) -> bool:
+    """Whether the file format holds ``waypoints``: 1 to ``bound`` of them,
+    every value a finite int or float."""
+    return 0 < len(waypoints) <= bound and all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max
+        for wp in waypoints for v in (wp.t, *wp.state))
+
+
+def as_floats(waypoints) -> tuple:
+    return tuple(Waypoint(float(wp.t), ServoState(*map(float, wp.state))) for wp in waypoints)
+
+
 @settings(max_examples=300, deadline=None)
-@given(json_waypoints(), geometries())
-def test_trajectory_writer_is_json_dumps(waypoints, geometry):
+@given(json_waypoints(), geometries(), st.integers(1, 6))
+def test_trajectory_writer_is_json_dumps(waypoints, geometry, bound):
+    # Under a small MAX_WAYPOINTS, what the writer takes it writes as
+    # json.dumps writes the values as floats, and the parser reads it back;
+    # the rest raises InvalidParameter.
     trajectory = Trajectory(geometry, WIDE_LIMITS, waypoints)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileformat, "MAX_WAYPOINTS", bound)
+        if not writable(waypoints, bound):
+            event("rejected")
+            with pytest.raises(InvalidParameter):
+                trajectory_to_json(trajectory)
+            return
+        event("written")
+        text = trajectory_to_json(trajectory)
+        loaded = parse_trajectory(text)
     doc = _header(geometry, WIDE_LIMITS)
     doc["waypoints"] = [{"t": wp.t, "s1": wp.state.s1, "s2": wp.state.s2, "s3": wp.state.s3}
-                        for wp in waypoints]
-    finite = all(type(v) is float and math.isfinite(v)
-                 for wp in waypoints for v in (wp.t, *wp.state))
-    event("template" if waypoints and finite else "json fallback")
-    assert trajectory_to_json(trajectory) == json.dumps(doc, indent=2) + "\n"
+                        for wp in as_floats(waypoints)]
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert repr(loaded) == repr(trajectory._replace(waypoints=as_floats(waypoints)))
 
 
 @st.composite
 def unchecked_trajectories(draw):
     """:func:`trajectories` with some angles replaced by -0.0 and some times
-    stepping back, under any geometry: inputs only ``check=False`` accepts."""
+    stepping back, under any geometry."""
     trajectory = draw(trajectories())
     waypoints = []
     for wp in trajectory.waypoints:
@@ -274,13 +297,13 @@ def test_streamed_trace_file_is_the_simulated_trace(case):
     # Both consumers of the one sampling loop, each against the row-at-a-time
     # reference.
     trajectory, rate = case
-    motion = analyse(trajectory, check=False)
+    motion = analyse(trajectory)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         write_trace_file(motion, path, rate)
         written = path.read_bytes()
     assert written == reference_trace_csv(motion, rate)
-    trace = simulate(trajectory, rate, check=False)
+    trace = simulate(trajectory, rate)
     assert repr(sample_rows(trace)) == repr(list(reference_trace_rows(motion, rate)))
 
 
@@ -289,7 +312,7 @@ def test_long_segment_with_negative_zero_columns_matches_the_reference(tmp_path)
     # which the waypoint row prints as -0 and the inner rows as 0.
     trajectory = Trajectory(waypoints=(Waypoint(0.0, ServoState(-0.0, 0.0, -0.0)),
                                        Waypoint(100.0, ServoState(-0.0, 90.0, -0.0))))
-    motion = analyse(trajectory, check=False)
+    motion = analyse(trajectory)
     assert 5000 > _CHUNK_ROWS
     path = tmp_path / "trace.csv"
     write_trace_file(motion, path, 50.0)
@@ -311,7 +334,7 @@ def test_split_trace_file_is_the_serial_trace(split_export, case):
     # ones written by forked workers, against the row-at-a-time reference.
     # Parts are whole segments, so one long segment stays serial.
     trajectory, rate = case
-    motion = analyse(trajectory, check=False)
+    motion = analyse(trajectory)
     expected = reference_trace_csv(motion, rate)
     segments = len(trajectory.waypoints) - 1
     for cpus in (1, 2, 3):
@@ -350,7 +373,7 @@ def test_certificate_is_check_integrity_over_the_waypoints(trajectory, data):
     reference = check_integrity([TwistLedger(wp.state.s2, wp.state.s1, wp.state.s3)
                                  for wp in waypoints],
                                 trajectory.limits, [wp.t for wp in waypoints])
-    integrity = analyse(trajectory, check=False).integrity
+    integrity = analyse(trajectory).integrity
     assert integrity == reference
     assert repr(integrity) == repr(reference)
 
@@ -388,15 +411,7 @@ def reference_validate_trajectory(trajectory: Trajectory) -> list[Violation]:
 def test_analyse_reports_the_reference_violations(trajectory):
     expected = reference_validate_trajectory(trajectory)
     assert validate_trajectory(trajectory) == expected
-    motion = analyse(trajectory, check=False)
-    assert list(motion.violations) == expected
-    hard = [v for v in expected if not isinstance(v, DisengagedShaftMotion)]
-    if hard:
-        with pytest.raises(ValidationFailure) as failure:
-            analyse(trajectory)
-        assert failure.value.violations == hard
-    else:
-        assert analyse(trajectory) == motion
+    assert list(analyse(trajectory).violations) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -456,7 +471,7 @@ def test_builders_emit_only_trajectories_that_pass_their_own_analysis(build):
         event(type(exc).__name__)
         return
     event("built")
-    motion = analyse(trajectory, check=False)
+    motion = analyse(trajectory)
     assert motion.violations == ()
     assert motion.events == ()
     assert motion.integrity.ok
@@ -641,3 +656,84 @@ def test_fuzzed_command_lines_exit_with_a_documented_code(fuzz_dir, argv):
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
     assert code in (0, 1, 2, 3)
+
+
+# --------------------------------------------------------------------------
+# Differential properties against the benchmark's analytic model of a
+# trajectory (perfbench/workloads.py) and its output oracle
+# (perfbench/oracle.py), both read-only.
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import oracle  # noqa: E402
+import workloads  # noqa: E402
+
+policies = st.sampled_from(["strict", "lenient"])
+any_trajectory = st.one_of(trajectories(), unchecked_trajectories(),
+                           repeated_moves().map(lambda case: case[0]))
+
+
+def model_analysis(trajectory: Trajectory, policy: str) -> dict:
+    """The benchmark model's expected ``check`` summary of ``trajectory``."""
+    limits = trajectory.limits
+    return workloads.analyse([(wp.t, *wp.state) for wp in trajectory.waypoints],
+                             {s: limits.range_of(s) for s in ("s1", "s2", "s3")},
+                             {s: limits.rate_of(s) for s in ("s1", "s2", "s3")}, policy)
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_trajectory, policies)
+def test_analyse_agrees_with_the_benchmark_model(trajectory, policy):
+    expected = model_analysis(trajectory, policy)
+    motion = analyse(trajectory)
+    violations = [v for v in motion.violations
+                  if policy == "strict" or not isinstance(v, DisengagedShaftMotion)]
+    event(f"ok={expected['ok']}")
+    assert int(not violations and motion.integrity.ok) == expected["ok"]
+    assert int(motion.integrity.ok) == expected["integrity_ok"]
+    assert Counter(str(v).split(" ", 1)[0] for v in violations) == Counter(expected["violations"])
+    assert Counter(e.kind for e in motion.events) == Counter(expected["events"])
+    assert oracle._close(motion.final_theta_deg, expected["theta"])
+    assert all(map(oracle._close, motion.integrity.max_abs_twist, expected["max_twist"]))
+
+
+def run_command(argv) -> oracle.Result:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return oracle.Result(code, out.getvalue(), err.getvalue())
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_trajectory, policies)
+def test_check_passes_the_benchmark_oracle(fuzz_dir, trajectory, policy):
+    path = fuzz_dir / "drawn.json"
+    write_trajectory_file(trajectory, path)
+    result = run_command(["check", str(path), "--policy", policy])
+    assert oracle.judge("check", model_analysis(trajectory, policy), result, fuzz_dir) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.floats(-1e5, 1e5).map(lambda x: ("plan", x)),
+    st.tuples(st.just("gait"), st.one_of(st.just(3.0), st.floats(3.0, 20.0)),
+              st.integers(1, 200))))
+def test_commands_turn_the_wheel_with_bounded_twist(fuzz_dir, command):
+    # The paper's claim: plans and gaits turn the wheel as far as asked
+    # while every twist stays within its servo's range, and check accepts
+    # the file each one wrote.
+    name = "command.json"
+    if command[0] == "plan":
+        argv = ["plan", f"--target-deg={command[1]!r}"]
+        expect = {"target": command[1], "radius": 0.1, "out": name}
+    else:
+        _, period, cycles = command
+        argv = ["gait", "--period-s", repr(period), "--cycles", str(cycles)]
+        expect = {"period": period, "cycles": cycles, "out": name}
+    result = run_command([*argv, "--out", str(fuzz_dir / name)])
+    assert oracle.judge(command[0], expect, result, fuzz_dir) == []
+    doc = json.loads((fuzz_dir / name).read_text())
+    expected = workloads.analyse([(w["t"], w["s1"], w["s2"], w["s3"]) for w in doc["waypoints"]],
+                                 workloads.DEFAULT_RANGES, workloads.DEFAULT_RATES)
+    assert expected["ok"] == 1
+    result = run_command(["check", str(fuzz_dir / name)])
+    assert oracle.judge("check", expected, result, fuzz_dir) == []

@@ -67,18 +67,8 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _policy(text: str) -> str:
-    """``check --policy`` as its text, strict or lenient."""
-    if text not in ("strict", "lenient"):
-        raise argparse.ArgumentTypeError(f"invalid Policy value: {text!r}")
-    return text
-
-
 def _length_list(text: str) -> list[float]:
-    items = [piece for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of lengths")
-    return [_positive_float(piece.strip()) for piece in items]
+    return list(map(_positive_float, text.split(",")))
 
 
 def _resolve_setup(args) -> tuple[MechanismGeometry, ServoLimits]:
@@ -133,10 +123,10 @@ def cmd_simulate(args) -> int:
     trajectory = executor.build_rotate_wheel_2n(args.n, geometry=geometry, limits=limits)
     motion = _analyse(trajectory)
     with fileformat.Outputs() as outputs:  # both files, or neither
-        if args.out:
+        if args.out is not None:
             from . import trace
             trace.write_trace_file(motion, outputs.stage(args.out), args.sample_rate_hz)
-        if args.out_traj:
+        if args.out_traj is not None:
             fileformat.write_trajectory_file(trajectory, outputs.stage(args.out_traj))
     _print_motion_summary(motion)
     print("violations=0")
@@ -154,7 +144,7 @@ def cmd_plan(args) -> int:
     motion = _analyse(trajectory)
     fileformat.write_trajectory_file(trajectory, args.out)
     print(f"waypoints={len(trajectory.waypoints)}")
-    print(f"segments={max(len(trajectory.waypoints) - 1, 0)}")
+    print(f"segments={len(trajectory.waypoints) - 1}")
     print(f"engaged_sweeps={planner.count_engaged_sweeps(trajectory)}")
     print(f"predicted_theta_wheel_deg={_fmt(motion.final_theta_deg)}")
     print(f"predicted_x_m={_fmt(motion.final_x_m)}")
@@ -261,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="verify a trajectory file")
     p_check.add_argument("trajectory", help="trajectory file to check")
-    p_check.add_argument("--policy", type=_policy, default="strict", metavar="strict|lenient",
+    p_check.add_argument("--policy", choices=("strict", "lenient"), default="strict",
+                         metavar="strict|lenient",
                          help="strict rejects disengaged shaft motion (default strict)")
     p_check.set_defaults(func=cmd_check)
 

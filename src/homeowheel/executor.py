@@ -23,7 +23,7 @@ from collections.abc import Iterable, Iterator
 from itertools import chain
 from operator import attrgetter, lt
 
-from .errors import InvalidParameter, ValidationFailure
+from .errors import InvalidParameter
 from .mechanism import (
     DEFAULT_GEOMETRY,
     DEFAULT_LIMITS,
@@ -73,13 +73,17 @@ class Waypoint(record("Waypoint", "t state")):
 
 class Trajectory(record("Trajectory", "geometry limits waypoints")):
     """Timed servo waypoints plus the geometry and limits they assume;
-    ``waypoints`` is stored as a tuple."""
+    ``waypoints`` is stored as a tuple, and no waypoints raise
+    InvalidParameter: a path without a waypoint is not a motion."""
 
     __slots__ = ()
 
     def __new__(cls, geometry: MechanismGeometry = DEFAULT_GEOMETRY,
                 limits: ServoLimits = DEFAULT_LIMITS, waypoints: Iterable[Waypoint] = ()):
-        return super().__new__(cls, geometry, limits, tuple(waypoints))
+        waypoints = tuple(waypoints)
+        if not waypoints:
+            raise InvalidParameter("a trajectory needs at least one waypoint")
+        return super().__new__(cls, geometry, limits, waypoints)
 
     @classmethod
     def from_states(cls, states: Iterable[ServoState], segment_duration: float = 1.0,
@@ -134,13 +138,6 @@ class Motion(record("Motion", "trajectory theta_deg drives flags events integrit
 # Violations
 
 
-class EmptyTrajectory(record("EmptyTrajectory", "")):
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return "EmptyTrajectory: trajectory has no waypoints"
-
-
 class TimeOrderViolation(record("TimeOrderViolation", "index t")):
     __slots__ = ()
 
@@ -173,8 +170,7 @@ class DisengagedShaftMotion(record("DisengagedShaftMotion", "segment t_start t_e
                 f"{self.shaft_delta!r} deg with the clutch open")
 
 
-Violation = (EmptyTrajectory | TimeOrderViolation | WaypointRangeViolation
-             | RateViolation | DisengagedShaftMotion)
+Violation = TimeOrderViolation | WaypointRangeViolation | RateViolation | DisengagedShaftMotion
 
 
 # --------------------------------------------------------------------------
@@ -311,12 +307,9 @@ def analyse(trajectory: Trajectory) -> Motion:
     infinite rate. A segment that does not drive leaves the wheel angle as it
     is, even where its shaft delta overflows.
 
-    No violation raises: callers read ``violations``. Only a trajectory
-    without waypoints raises :class:`ValidationFailure`.
+    Nothing raises: callers read ``violations``.
     """
     waypoints = trajectory.waypoints
-    if not waypoints:
-        raise ValidationFailure([EmptyTrajectory()])
     limits = trajectory.limits
     rate_limits = (("servo1", limits.s1_max_rate), ("servo2", limits.s2_max_rate),
                    ("servo3", limits.s3_max_rate))
@@ -387,10 +380,7 @@ def analyse(trajectory: Trajectory) -> Motion:
 
 def validate_trajectory(trajectory: Trajectory) -> list[Violation]:
     """Every constraint violation of the trajectory: the ``violations`` of
-    ``analyse(trajectory)``, or ``[EmptyTrajectory()]`` when it has no
-    waypoints."""
-    if not trajectory.waypoints:
-        return [EmptyTrajectory()]
+    ``analyse(trajectory)``."""
     return list(analyse(trajectory).violations)
 
 

@@ -83,12 +83,12 @@ def trajectory_to_json(trajectory: Trajectory) -> str:
     ``json.dumps`` of the header and the waypoints with ``indent=2``, every
     waypoint value written as its float.
 
-    Only what :func:`parse_trajectory` reads back is written: no waypoints,
-    more than :data:`MAX_WAYPOINTS`, a bool or a value that is not a finite
+    Only what :func:`parse_trajectory` reads back is written: more than
+    :data:`MAX_WAYPOINTS` waypoints, a bool or a value that is not a finite
     number (an int beyond the float range included) raise InvalidParameter."""
     rows = [(t, *state) for t, state in trajectory.waypoints]
-    if not 0 < len(rows) <= MAX_WAYPOINTS:
-        raise InvalidParameter(f"a trajectory file holds 1 to MAX_WAYPOINTS ({MAX_WAYPOINTS}) "
+    if len(rows) > MAX_WAYPOINTS:
+        raise InvalidParameter(f"a trajectory file holds at most MAX_WAYPOINTS ({MAX_WAYPOINTS}) "
                                f"waypoints, not {len(rows)}")
     values = list(chain.from_iterable(rows))
     if not (set(map(type, values)) == {float} and all(map(math.isfinite, values))):

@@ -60,7 +60,7 @@ _EXPORT_PROCESSES = 4
 # about 20 ms to format, against about 1 ms to fork a worker for it.
 _MIN_PART_ROWS = 4 * _CHUNK_ROWS
 _CAN_SPLIT = all(hasattr(os, name) for name in ("fork", "memfd_create", "sendfile",
-                                                 "sched_getaffinity", "sched_setaffinity"))
+                                                 "sched_getaffinity"))
 
 
 class TraceSample(record("TraceSample", "t state theta_wheel_deg x_m engaged event_flags")):
@@ -227,8 +227,9 @@ def simulate(trajectory: Trajectory, sample_rate: float = 50.0) -> SimTrace:
     waypoint iff that waypoint is, between waypoints iff its segment turns
     the wheel. No violation raises; :func:`analyse` lists them.
 
-    The sample count is computed first; more than :data:`MAX_TRACE_SAMPLES`
-    raise InvalidParameter. :func:`write_trace_file` streams the same rows
+    The sample count is computed first: a rate that is not positive and
+    finite, or more than :data:`MAX_TRACE_SAMPLES` samples, raise
+    InvalidParameter. :func:`write_trace_file` streams the same rows
     to a file without building them here.
     """
     counts = _sample_counts(trajectory, sample_rate)
@@ -239,14 +240,14 @@ def simulate(trajectory: Trajectory, sample_rate: float = 50.0) -> SimTrace:
     return SimTrace(samples, motion.events)
 
 
-def _export_cpus() -> list[int]:
-    """The usable CPUs a trace export may be formatted on, or none: on a
+def _export_cpus() -> int:
+    """How many usable CPUs a trace export may be formatted on, or 0: on a
     platform that cannot fork a worker that writes to an anonymous memory
     file, or while a second thread is alive, since a forked copy of this
     process would hold whatever locks that thread held."""
     if not _CAN_SPLIT or threading.active_count() > 1:
-        return []
-    return sorted(os.sched_getaffinity(0))
+        return 0
+    return len(os.sched_getaffinity(0))
 
 
 def _export_parts(counts: list[int], processes: int) -> list[int]:
@@ -292,19 +293,16 @@ def _write_rows(out, motion: Motion, counts: list[int], start: int, stop: int) -
         out.write("".join(map(template.__mod__, zip(*columns))))
 
 
-def _fork_part(part: int, cpu: int, motion: Motion, counts: list[int], start: int,
-               stop: int) -> int:
-    """Fork a worker that runs on ``cpu`` only and writes the rows of
-    segments ``start`` to ``stop - 1`` to the file descriptor ``part``;
-    returns its pid. The worker leaves only through ``os._exit``, with
-    status 0 once every row is written, so it never flushes the caller's
-    buffers or runs its exit handlers, and an exception in it never returns
-    into the caller's code."""
+def _fork_part(part: int, motion: Motion, counts: list[int], start: int, stop: int) -> int:
+    """Fork a worker that writes the rows of segments ``start`` to
+    ``stop - 1`` to the file descriptor ``part``; returns its pid. The worker
+    leaves only through ``os._exit``, with status 0 once every row is
+    written, so it never flushes the caller's buffers or runs its exit
+    handlers, and an exception in it never returns into the caller's code."""
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            os.sched_setaffinity(0, (cpu,))
             with open(part, "w", encoding="utf-8", closefd=False) as text:
                 _write_rows(text, motion, counts, start, stop)
             status = 0
@@ -323,9 +321,7 @@ def write_trace_file(motion: Motion, path, sample_rate: float = 50.0) -> None:
     :func:`_export_parts`): this process streams the first part to the file
     while a forked worker per later part writes it to an anonymous memory
     file, which is appended in order once the worker has exited with status
-    0. The bytes are those of the serial export. Each process runs on a CPU
-    of its own until the export ends: left to the scheduler, a worker can
-    share its parent's CPU for the whole export. A worker that fails raises
+    0. The bytes are those of the serial export. A worker that fails raises
     OSError; on any error every worker still running is killed, and every
     worker is reaped before this returns or raises.
 
@@ -335,19 +331,15 @@ def write_trace_file(motion: Motion, path, sample_rate: float = 50.0) -> None:
     and the file is opened before any worker starts, so a rejected trace
     creates no file and an unwritable path starts no worker."""
     counts = _sample_counts(motion.trajectory, sample_rate)
-    cpus = _export_cpus()
-    bounds = _export_parts(counts, len(cpus))
-    pinned = len(bounds) > 2
+    bounds = _export_parts(counts, _export_cpus())
     with Outputs() as outputs, outputs.open(path) as out:
         out.write(TRACE_HEADER + "\n")
         parts: list[int] = []
         running: list[int] = []
         try:
-            if pinned:
-                os.sched_setaffinity(0, cpus[:1])
-            for cpu, start, stop in zip(cpus[1:], bounds[1:], bounds[2:]):
+            for start, stop in zip(bounds[1:], bounds[2:]):
                 parts.append(os.memfd_create("trace-part", os.MFD_CLOEXEC))
-                running.append(_fork_part(parts[-1], cpu, motion, counts, start, stop))
+                running.append(_fork_part(parts[-1], motion, counts, start, stop))
             _write_rows(out, motion, counts, bounds[0], bounds[1])
             out.flush()
             for part in parts:
@@ -368,5 +360,3 @@ def write_trace_file(motion: Motion, path, sample_rate: float = 50.0) -> None:
                     os.waitpid(pid, 0)
             for part in parts:
                 os.close(part)
-            if pinned:
-                os.sched_setaffinity(0, cpus)

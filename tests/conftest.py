@@ -25,7 +25,7 @@ def forbid(monkeypatch):
 @contextlib.contextmanager
 def _split_export(cpus: int, min_part_rows: int | None = 1):
     fork = os.fork
-    seen = types.SimpleNamespace(forked=[], pins=[])
+    seen = types.SimpleNamespace(forked=[])
 
     def counting_fork():
         pid = fork()
@@ -35,7 +35,6 @@ def _split_export(cpus: int, min_part_rows: int | None = 1):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        patch.setattr(os, "sched_setaffinity", lambda pid, mask: seen.pins.append(set(mask)))
         patch.setattr(os, "fork", counting_fork)
         if min_part_rows is not None:
             patch.setattr(trace, "_MIN_PART_ROWS", min_part_rows)
@@ -47,7 +46,6 @@ def split_export():
     """``with split_export(cpus) as seen:`` runs trace exports as if on
     ``cpus`` usable CPUs, in parts of as few as one row (``min_part_rows=``
     sets another least, None keeps the package's). ``seen.forked`` lists the
-    pid of each worker forked and ``seen.pins`` each CPU set this process
-    pinned itself to; no process is really pinned. Session scoped, so
-    hypothesis tests may use it across examples."""
+    pid of each worker forked. Session scoped, so hypothesis tests may use it
+    across examples."""
     return _split_export

@@ -84,6 +84,19 @@ class TestSimulateCommand:
         assert code == 2
         assert stdout == "" and "MAX_WAYPOINTS" in stderr
 
+    @pytest.mark.parametrize("empty, other", [("--out", "--out-traj"), ("--out-traj", "--out")])
+    def test_an_empty_output_path_is_a_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                   empty, other):
+        # "" names no file, as for plan --out "": open's error, and the other
+        # output keeps what it held.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "old").write_text("old")
+        code, stdout, stderr = invoke(capsys, "simulate", "--n", "1", empty, "", other, "old")
+        assert code == 2 and stdout == ""
+        assert stderr == "homeowheel: error: [Errno 2] No such file or directory: ''\n"
+        assert os.listdir(tmp_path) == ["old"]
+        assert (tmp_path / "old").read_text() == "old"
+
     def test_writes_the_trajectory_too(self, capsys, tmp_path):
         traj_path = tmp_path / "routine.json"
         code, _, _ = invoke(capsys, "simulate", "--n", "1", "--out-traj", str(traj_path))
@@ -554,6 +567,21 @@ class TestScaleCommand:
             run(["scale", "--lengths-m", "1,-2"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("lengths, item", [("1,,2", ""), ("1,2,", ""), (",1", ""),
+                                               ("", ""), ("1, ", " ")])
+    def test_an_empty_length_is_a_usage_error(self, capsys, lengths, item):
+        with pytest.raises(SystemExit) as excinfo:
+            run(["scale", "--lengths-m", lengths])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"homeowheel scale: error: argument --lengths-m: {item!r} is not a number")
+
+    def test_whitespace_around_a_length_is_allowed(self, capsys):
+        code, stdout, _ = invoke(capsys, "scale", "--lengths-m", " 1 ,\t0.1\n")
+        assert code == 0
+        assert "accel_ratio=10.000000000" in stdout
+
 
 class TestConfigAndDeterminism:
     def test_config_overrides_geometry(self, capsys, tmp_path):
@@ -792,8 +820,7 @@ def test_help_text_is_unchanged(capsys, monkeypatch, command):
 
 
 def test_a_bad_policy_is_the_same_usage_error(capsys, monkeypatch):
-    # --policy parses to its text; its error reads as argparse's for a type
-    # named Policy, and strict and lenient are its only values.
+    # strict and lenient are --policy's only values, and argparse says so.
     monkeypatch.setenv("COLUMNS", "80")
     for value in ("bogus", "STRICT", "Lenient", ""):
         with pytest.raises(SystemExit) as excinfo:
@@ -802,5 +829,6 @@ def test_a_bad_policy_is_the_same_usage_error(capsys, monkeypatch):
         assert excinfo.value.code == 2 and captured.out == ""
         assert captured.err == (
             "usage: homeowheel check [-h] [--policy strict|lenient] trajectory\n"
-            f"homeowheel check: error: argument --policy: invalid Policy value: {value!r}\n")
+            f"homeowheel check: error: argument --policy: invalid choice: {value!r} "
+            "(choose from 'strict', 'lenient')\n")
 

@@ -13,7 +13,7 @@ import pytest
 
 from homeowheel import executor, fileformat, tegument, trace
 from homeowheel.cli import run
-from homeowheel.errors import InvalidParameter, TrajectoryParseError, ValidationFailure
+from homeowheel.errors import InvalidParameter, TrajectoryParseError
 from homeowheel.executor import (
     EVENT_DISENGAGED_SHAFT_MOTION,
     EVENT_GIMBAL_LOCK_RISK,
@@ -107,12 +107,14 @@ class TestBuildRotateWheel2n:
     lambda wps: Trajectory(waypoints=wps),
     lambda wps: Trajectory(DEFAULT_GEOMETRY, DEFAULT_LIMITS, wps),
     lambda wps: Trajectory(waypoints=iter(wps)),
-    lambda wps: Trajectory()._replace(waypoints=wps),
+    lambda wps: Trajectory(waypoints=(Waypoint(0.0, S(0.0, 0.0, 0.0)),))._replace(waypoints=wps),
 ], ids=["keyword", "positional", "iterator", "replace"])
 def test_trajectory_stores_its_waypoints_as_a_tuple(make):
     waypoints = [Waypoint(0.0, S(0.0, 0.0, 0.0)), Waypoint(1.0, S(0.0, 0.0, -90.0))]
     stored = make(waypoints).waypoints
     assert type(stored) is tuple and stored == tuple(waypoints)
+    with pytest.raises(InvalidParameter, match="at least one waypoint"):
+        make([])
 
 
 class TestSegmentDrive:
@@ -277,10 +279,6 @@ class TestSimulate:
         with pytest.raises(InvalidParameter):
             simulate(trajectory, sample_rate=0.0)
 
-    def test_empty_trajectory_raises(self):
-        with pytest.raises(ValidationFailure):
-            simulate(Trajectory(waypoints=()))
-
     @staticmethod
     def closed_form_samples(trajectory, rate):
         total = 1
@@ -370,9 +368,10 @@ class TestValidateTrajectory:
         assert list(analyse(trajectory).violations) == expected
 
     def test_empty_trajectory(self):
-        violations = validate_trajectory(Trajectory(waypoints=()))
-        assert len(violations) == 1
-        assert "EmptyTrajectory" in str(violations[0])
+        # A path without a waypoint is not a motion: none is ever validated.
+        for make in (Trajectory, lambda: Trajectory(waypoints=())):
+            with pytest.raises(InvalidParameter, match="at least one waypoint"):
+                make()
 
     def test_reports_every_violation_with_location(self):
         trajectory = Trajectory(waypoints=(
@@ -763,8 +762,8 @@ class TestSplitExport:
         assert_no_children()
 
     def test_the_caller_keeps_its_cpus(self, tmp_path):
-        # On a machine with two usable CPUs or more the export pins this
-        # process to one of them while its workers run.
+        # On a machine with two usable CPUs or more the export forks workers;
+        # this process keeps the CPUs it may run on.
         cpus = os.sched_getaffinity(0)
         write_trace_file(analyse(build_rotate_wheel_2n(200)), tmp_path / "trace.csv", 37.0)
         assert os.sched_getaffinity(0) == cpus
@@ -777,8 +776,6 @@ class TestSplitExport:
         with split_export(cpus) as seen:
             write_trace_file(motion, path, 50.0)
         assert len(seen.forked) == parts - 1
-        # Pinned to the first CPU while the workers run, then unpinned.
-        assert seen.pins == [{0}, set(range(cpus))]
         assert path.read_bytes() == reference_trace_csv(motion, 50.0)
         assert_no_children()
 

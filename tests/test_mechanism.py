@@ -9,7 +9,6 @@ from homeowheel import executor, fileformat, mechanism, rotations, scaling, tegu
 from homeowheel.errors import InvalidParameter, ValidationFailure
 from homeowheel.executor import (
     DisengagedShaftMotion,
-    EmptyTrajectory,
     RateViolation,
     TimeOrderViolation,
     TraceEvent,
@@ -265,7 +264,7 @@ RECORDS = [
     RangeViolation("servo1", 361.0, 0.0, 360.0), Waypoint(0.5, HOME_STATE),
     _MOTION.trajectory, TraceSample(0.0, HOME_STATE, 0.0, 0.0, False, 0),
     TraceEvent(0.0, "GimbalLockRisk", "segment 0"), SimTrace((), ()), _MOTION,
-    EmptyTrajectory(), TimeOrderViolation(1, 0.0),
+    TimeOrderViolation(1, 0.0),
     WaypointRangeViolation(0, "servo1", 361.0, 0.0, 360.0), RateViolation(0, "servo1", 1e3, 360.0),
     DisengagedShaftMotion(0, 0.0, 1.0, 90.0), IDENTITY_QUATERNION, ScalingModel(),
     scale(ScalingModel(), 0.5), TwistLedger(), IntegrityViolation(0.0, "seg_wrist", 91.0),
@@ -307,7 +306,6 @@ class TestRecords:
 
     @pytest.mark.parametrize("record, text", [
         (ServoState(1.0, 2.0, 3.0), "ServoState(s1=1.0, s2=2.0, s3=3.0)"),
-        (EmptyTrajectory(), "EmptyTrajectory()"),
         (Waypoint(0.5, HOME_STATE), "Waypoint(t=0.5, state=ServoState(s1=0.0, s2=0.0, s3=0.0))"),
         (DEFAULT_LIMITS, "ServoLimits(s1_range=(0.0, 360.0), s2_range=(-90.0, 90.0), "
                          "s3_range=(-90.0, 90.0), s1_max_rate=360.0, s2_max_rate=360.0, "

@@ -23,7 +23,6 @@ from homeowheel.executor import (
     _RATE_GUARD,
     FLAG_GIMBAL_LOCK_RISK,
     DisengagedShaftMotion,
-    EmptyTrajectory,
     RateViolation,
     TimeOrderViolation,
     Trajectory,
@@ -203,9 +202,9 @@ def json_waypoints(draw):
 
 
 def writable(waypoints, bound: int) -> bool:
-    """Whether the file format holds ``waypoints``: 1 to ``bound`` of them,
-    every value a finite int or float."""
-    return 0 < len(waypoints) <= bound and all(
+    """Whether the file format holds ``waypoints``: at most ``bound`` of
+    them, every value a finite int or float."""
+    return len(waypoints) <= bound and all(
         type(v) in (int, float) and abs(v) <= sys.float_info.max
         for wp in waypoints for v in (wp.t, *wp.state))
 
@@ -219,7 +218,12 @@ def as_floats(waypoints) -> tuple:
 def test_trajectory_writer_is_json_dumps(waypoints, geometry, bound):
     # Under a small MAX_WAYPOINTS, what the writer takes it writes as
     # json.dumps writes the values as floats, and the parser reads it back;
-    # the rest raises InvalidParameter.
+    # the rest raises InvalidParameter, and no waypoints make no trajectory.
+    if not waypoints:
+        event("no waypoints")
+        with pytest.raises(InvalidParameter, match="at least one waypoint"):
+            Trajectory(geometry, WIDE_LIMITS, waypoints)
+        return
     trajectory = Trajectory(geometry, WIDE_LIMITS, waypoints)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fileformat, "MAX_WAYPOINTS", bound)
@@ -380,11 +384,8 @@ def test_certificate_is_check_integrity_over_the_waypoints(trajectory, data):
 
 def reference_validate_trajectory(trajectory: Trajectory) -> list[Violation]:
     """The standalone validator that analyse replaced, kept as the reference."""
-    waypoints = trajectory.waypoints
-    if not waypoints:
-        return [EmptyTrajectory()]
     violations: list[Violation] = []
-    for index, wp in enumerate(waypoints):
+    for index, wp in enumerate(trajectory.waypoints):
         for v in validate_state(wp.state, trajectory.limits):
             violations.append(WaypointRangeViolation(index, v.servo, v.value, v.lo, v.hi))
     for i, a, b in trajectory.segments():
@@ -608,6 +609,35 @@ def test_check_on_fuzzed_files_exits_with_a_documented_code(fuzz_dir, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run(["check", str(path)])
     assert code in ((0, 1) if parsed_or_rejected(parse_trajectory, data) else (3,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(VALID_FILES), st.data(), st.sampled_from([None, 2]),
+       st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]))
+def test_check_on_files_at_the_size_bounds(fuzz_dir, text, data, indent, byte_step, waypoint_step):
+    # Under bounds drawn around a valid file's size, one byte or one waypoint
+    # past either bound is one parse error line; at or under both, the file
+    # is checked.
+    doc = json.loads(text)
+    doc["waypoints"] = doc["waypoints"][:data.draw(st.integers(1, len(doc["waypoints"])))]
+    encoded = json.dumps(doc, indent=indent).encode()
+    path = fuzz_dir / "bounded.json"
+    path.write_bytes(encoded)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileformat, "MAX_FILE_BYTES", len(encoded) + byte_step)
+        patch.setattr(fileformat, "MAX_WAYPOINTS", len(doc["waypoints"]) + waypoint_step)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(["check", str(path)])
+    if byte_step < 0 or waypoint_step < 0:
+        event("past a bound")
+        assert code == 3 and stdout.getvalue() == ""
+        line, = stderr.getvalue().splitlines()
+        assert line.startswith("parse error: ")
+        assert ("MAX_FILE_BYTES" if byte_step < 0 else "MAX_WAYPOINTS") in line
+    else:
+        event("within both")
+        assert code in (0, 1) and stderr.getvalue() == ""
 
 
 # Option values that keep every command small even where a work cap were

@@ -6,7 +6,9 @@ rotation or distance), ``gait`` (periodic rectification gait), ``check``
 
 Each command imports the modules it runs when it runs, and looks up the
 functions it calls in the module that defines them, so a command compiles
-none of the others and a function rebound there is the one called.
+none of the others and a function rebound there is the one called. The
+three builder commands share one path, :func:`_build`: settings, build and
+the guard, before any file is written.
 
 Summaries go to standard output as ``key=value`` lines with 9 fixed decimal
 places, so identical invocations produce byte-identical output, files
@@ -37,58 +39,43 @@ def _fmt(value: float) -> str:
     return f"{value:.9f}"
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} must be >= 1")
-    return value
+def _number(parse, kind: str, test, rule: str):
+    """An argparse type: ``parse`` of the text, which ``test`` must pass."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {kind}")
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"{text!r} {rule}")
+        return value
+    return convert
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"{text!r} must be positive and finite")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} must be finite")
-    return value
+_positive_int = _number(int, "an integer", lambda value: value >= 1, "must be >= 1")
+_positive_float = _number(float, "a number", lambda value: math.isfinite(value) and value > 0.0,
+                          "must be positive and finite")
+_finite_float = _number(float, "a number", math.isfinite, "must be finite")
 
 
 def _length_list(text: str) -> list[float]:
     return list(map(_positive_float, text.split(",")))
 
 
-def _resolve_setup(args) -> tuple[MechanismGeometry, ServoLimits]:
-    """Geometry and limits: defaults, overridden by --config, overridden by
-    explicit flags."""
-    from . import fileformat
+def _build(args, builder, *goal):
+    """The trajectory ``builder(*goal)`` makes from the settings of ``args``
+    (defaults, overridden by --config, overridden by explicit flags), and its
+    motion. The builders' guard, before any file is written: ``analyse`` must
+    find no violation (:class:`ValidationFailure` lists them) and x_m must
+    stay in the float range: |x_m| peaks at a waypoint, where |theta| does."""
+    from . import executor, fileformat
 
     try:
         text = b"{}" if args.config is None else fileformat.read_bounded(args.config)
-        return fileformat.parse_config(text, {"wheel_radius": args.radius_m})
+        geometry, limits = fileformat.parse_config(text, {"wheel_radius": args.radius_m})
     except (OSError, TrajectoryParseError) as exc:
         raise InvalidParameter(f"invalid config {args.config!r}: {exc}") from exc
-
-
-def _analyse(trajectory):
-    """The builders' guard, before any file is written: ``analyse(trajectory)``
-    must find no violation (:class:`ValidationFailure` lists them) and keep
-    x_m in the float range: |x_m| peaks at a waypoint, where |theta| does."""
-    from . import executor
-
+    trajectory = builder(*goal, geometry=geometry, limits=limits)
     motion = executor.analyse(trajectory)
     if motion.violations:
         raise ValidationFailure(motion.violations)
@@ -97,7 +84,7 @@ def _analyse(trajectory):
     if not math.isfinite(radius * math.radians(peak)):
         raise InvalidParameter(f"wheel radius {radius!r} m puts x_m outside the float range "
                                f"at theta_wheel_deg={peak!r}")
-    return motion
+    return trajectory, motion
 
 
 def _print_twist_maxima(report) -> None:
@@ -119,15 +106,15 @@ def _print_motion_summary(motion) -> None:
 def cmd_simulate(args) -> int:
     from . import executor, fileformat
 
-    geometry, limits = _resolve_setup(args)
-    trajectory = executor.build_rotate_wheel_2n(args.n, geometry=geometry, limits=limits)
-    motion = _analyse(trajectory)
-    with fileformat.Outputs() as outputs:  # both files, or neither
-        if args.out is not None:
+    trajectory, motion = _build(args, executor.build_rotate_wheel_2n, args.n)
+    with fileformat.Outputs() as outputs:  # both files, or neither, both staged first
+        out = None if args.out is None else outputs.stage(args.out)
+        out_traj = None if args.out_traj is None else outputs.stage(args.out_traj)
+        if out is not None:
             from . import trace
-            trace.write_trace_file(motion, outputs.stage(args.out), args.sample_rate_hz)
-        if args.out_traj is not None:
-            fileformat.write_trajectory_file(trajectory, outputs.stage(args.out_traj))
+            trace.write_trace_file(motion, out, args.sample_rate_hz)
+        if out_traj is not None:
+            fileformat.write_trajectory_file(trajectory, out_traj)
     _print_motion_summary(motion)
     print("violations=0")
     return EXIT_OK
@@ -136,12 +123,10 @@ def cmd_simulate(args) -> int:
 def cmd_plan(args) -> int:
     from . import fileformat, planner
 
-    geometry, limits = _resolve_setup(args)
     if args.target_deg is not None:
-        trajectory = planner.plan_rotation(args.target_deg, limits=limits, geometry=geometry)
+        trajectory, motion = _build(args, planner.plan_rotation, args.target_deg)
     else:
-        trajectory = planner.plan_distance(args.distance_m, geometry=geometry, limits=limits)
-    motion = _analyse(trajectory)
+        trajectory, motion = _build(args, planner.plan_distance, args.distance_m)
     fileformat.write_trajectory_file(trajectory, args.out)
     print(f"waypoints={len(trajectory.waypoints)}")
     print(f"segments={len(trajectory.waypoints) - 1}")
@@ -155,10 +140,7 @@ def cmd_plan(args) -> int:
 def cmd_gait(args) -> int:
     from . import fileformat, planner
 
-    geometry, limits = _resolve_setup(args)
-    trajectory = planner.generate_gait(args.period_s, args.cycles, limits=limits,
-                                       geometry=geometry)
-    motion = _analyse(trajectory)
+    trajectory, motion = _build(args, planner.generate_gait, args.period_s, args.cycles)
     fileformat.write_trajectory_file(trajectory, args.out)
     print(f"waypoints={len(trajectory.waypoints)}")
     print(f"period_s={_fmt(args.period_s)}")

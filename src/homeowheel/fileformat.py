@@ -244,15 +244,15 @@ def read_trajectory_file(path) -> Trajectory:
 # All-or-nothing output
 
 
-def _is_a_standard_stream(status: os.stat_result) -> bool:
-    """Whether standard input, output or error is open on the file of ``status``."""
-    for fd in (0, 1, 2):
+def _standard_stream(status: os.stat_result) -> int | None:
+    """The first of fds 1, 2 and 0 open on the file of ``status``, or None."""
+    for fd in (1, 2, 0):
         try:
             if os.path.samestat(status, os.fstat(fd)):
-                return True
+                return fd
         except OSError:  # closed
             pass
-    return False
+    return None
 
 
 class Outputs:
@@ -263,8 +263,13 @@ class Outputs:
     regular file (``/dev/null``, a FIFO), or is the file that standard input,
     output or error is open on (``/dev/stdout`` redirected to a file), is
     written in place, and so is a name that ends in a separator, which
-    ``open`` rejects; any other through a new file staged, under a
-    fixed-length name, in the directory of the file the target names.
+    ``open`` rejects; the file of standard output or error is written
+    through a duplicate of that descriptor, once ``sys.stdout`` and
+    ``sys.stderr`` are flushed, and not truncated, so it follows what the
+    command printed before. Any other target is written through a new file
+    staged, under a fixed-length name, in the directory of the file the
+    target names; a block refuses, with InvalidParameter, a target whose
+    file another staged target of the block names.
     Leaving the block normally moves each staged file over that file, in
     order, so a link is kept, dangling or not; leaving it by any exception,
     ``KeyboardInterrupt`` included, removes them, so each target keeps its
@@ -290,31 +295,45 @@ class Outputs:
         is written in place, else a staged file, created by :meth:`open`
         only, so a writer that checks its input first creates nothing when
         the check fails."""
+        return self._place(target)[0]
+
+    def open(self, target):
+        """A text file, opened for writing, that becomes ``target``: its
+        staged file, created exclusively, or ``target`` itself where that is
+        written in place, through standard output or error where it is
+        their file."""
+        path, fd = self._place(target)
+        if fd in (1, 2):
+            sys.stdout.flush()
+            sys.stderr.flush()
+            fd = os.dup(fd)
+        elif path == os.fspath(target):
+            return open(path, "w", encoding="utf-8")
+        else:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
+        return open(fd, "w", encoding="utf-8")
+
+    def _place(self, target) -> tuple[str, int | None]:
+        """:meth:`stage`'s path for ``target``, and the standard stream open
+        on the file of an in-place ``target`` (see :func:`_standard_stream`)."""
         target = os.fspath(target)
         if not os.path.basename(target):  # a directory's name: open raises
-            return target
+            return target, None
         try:
             status = os.stat(target)
         except FileNotFoundError:
             mode = None
         else:
-            if not stat.S_ISREG(status.st_mode) or _is_a_standard_stream(status):
-                return target
+            fd = _standard_stream(status)
+            if not stat.S_ISREG(status.st_mode) or fd is not None:
+                return target, fd
             mode = stat.S_IMODE(status.st_mode)
         file = os.path.realpath(target)
+        if any(file == staged[1] for staged in self._staged):
+            raise InvalidParameter(f"output {target!r} names the file of another output")
         staged = os.path.join(os.path.dirname(file), f".{os.urandom(8).hex()}.tmp")
         self._staged.append((staged, file, target, mode))
-        return staged
-
-    def open(self, target):
-        """A text file, opened for writing, that becomes ``target``: its
-        staged file, created exclusively, or ``target`` itself where that is
-        written in place."""
-        path = self.stage(target)
-        if path == os.fspath(target):
-            return open(path, "w", encoding="utf-8")
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o666)
-        return open(fd, "w", encoding="utf-8")
+        return staged, None
 
     def __exit__(self, kind, error, traceback) -> None:
         staged, self._staged = self._staged, []

@@ -6,7 +6,9 @@ the wheel assembly at the wrist. The wheel is driven through a clutch-like
 engagement: only in the two mirror configurations (s2, s3) = (+90, -90) and
 (-90, +90) does Servo 1 torque reach the wheel, and the sign of the coupling
 flips with the side of the gantry, which is what rectifies back-and-forth
-shaft twists into one-directional rolling.
+shaft twists into one-directional rolling. The tests check this clutch rule
+(:func:`drive_sign`) against the chain: in either driving configuration,
+:func:`forward_kinematics` turns the hub about body +y by ``-drive_sign * ds1``.
 
 Frame conventions (nothing about the mechanism pins the axes down, so these
 are package conventions; swap them here if a physical build requires it):

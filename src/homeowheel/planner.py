@@ -85,16 +85,13 @@ def plan_rotation(target_deg: float, start: ServoState = HOME_STATE,
         available, config, direction = max(choices, key=lambda c: c[0])
         sweep = min(abs(remaining), available)
         s2, s3 = config
-        if (states[-1].s2, states[-1].s3) != config:
-            move(s3=s3)
-            move(s2=s2)
+        move(s3=s3)
+        move(s2=s2)
         move(s1=states[-1].s1 + direction * sweep)
         remaining -= wheel_sign * sweep
 
-    if states[-1].s3 != 0.0:
-        move(s3=0.0)
-    if states[-1].s2 != 0.0:
-        move(s2=0.0)
+    move(s3=0.0)
+    move(s2=0.0)
     return Trajectory(geometry=geometry, limits=limits,
                       waypoints=timed_waypoints(states, limits))
 

@@ -59,8 +59,7 @@ _EXPORT_PROCESSES = 4
 # Fewest rows in each part of a split trace export; a part this size takes
 # about 20 ms to format, against about 1 ms to fork a worker for it.
 _MIN_PART_ROWS = 4 * _CHUNK_ROWS
-_CAN_SPLIT = all(hasattr(os, name) for name in ("fork", "memfd_create", "sendfile",
-                                                 "sched_getaffinity"))
+_CAN_SPLIT = all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity"))
 
 
 class TraceSample(record("TraceSample", "t state theta_wheel_deg x_m engaged event_flags")):
@@ -350,8 +349,8 @@ def write_trace_file(motion: Motion, path, sample_rate: float = 50.0) -> None:
                                   f"{os.waitstatus_to_exitcode(status)}")
                 size = os.fstat(part).st_size
                 sent = 0
-                while sent < size:
-                    sent += os.sendfile(out.fileno(), part, sent, size - sent)
+                while sent < size:  # not sendfile, which refuses a file in append mode (>>)
+                    sent += os.write(out.fileno(), os.pread(part, min(size - sent, 1 << 16), sent))
         finally:
             if running:
                 from signal import SIGKILL  # only on this error path: its import takes 1 ms

@@ -542,6 +542,24 @@ class TestCheckCommand:
             "ok=1"]
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["simulate", "--n", "x"], "argument --n: 'x' is not an integer"),
+    (["simulate", "--n", "0"], "argument --n: '0' must be >= 1"),
+    (["gait", "--period-s", "x", "--cycles", "1", "--out", "o.json"],
+     "argument --period-s: 'x' is not a number"),
+    (["gait", "--period-s", "0", "--cycles", "1", "--out", "o.json"],
+     "argument --period-s: '0' must be positive and finite"),
+    (["plan", "--target-deg", "inf", "--out", "o.json"],
+     "argument --target-deg: 'inf' must be finite"),
+], ids=["not-an-integer", "below-one", "not-a-number", "not-positive", "not-finite"])
+def test_each_number_rule_has_its_own_usage_error(capsys, argv, line):
+    with pytest.raises(SystemExit) as excinfo:
+        run(argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == f"homeowheel {argv[0]}: error: {line}"
+
+
 class TestScaleCommand:
     def test_ratio_of_two_sizes(self, capsys):
         code, stdout, _ = invoke(capsys, "scale", "--lengths-m", "1,0.1")

@@ -3,6 +3,7 @@ it was and no temporary file beside it."""
 
 import contextlib
 import errno
+import json
 import os
 import stat
 import subprocess
@@ -307,8 +308,8 @@ def test_dev_stdout_on_a_pipe_is_written_in_place():
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
 def test_dev_stdout_appended_to_a_file_is_written_in_place(tmp_path):
-    # As ``--out /dev/stdout >> r.txt``: open truncates the file that
-    # standard output is open on, and the summary follows the JSON there.
+    # As ``--out /dev/stdout >> r.txt``: the JSON is written through standard
+    # output after the file's old bytes, and the summary follows it there.
     report = tmp_path / "r.txt"
     report.write_bytes(OLD)
     inode = report.stat().st_ino
@@ -318,10 +319,104 @@ def test_dev_stdout_appended_to_a_file_is_written_in_place(tmp_path):
                               stderr=subprocess.PIPE, text=True, timeout=120)
     assert done.returncode == 0 and done.stderr == ""
     assert report.stat().st_ino == inode
-    text = trajectory_to_json(plan_rotation(10.0))
+    text = OLD.decode("utf-8") + trajectory_to_json(plan_rotation(10.0))
     content = report.read_text(encoding="utf-8")
     assert content.startswith(text) and content[len(text):].startswith("waypoints=")
     only(tmp_path, "r.txt")
+
+
+def run_child(argv, stdout) -> subprocess.CompletedProcess:
+    """``python -m homeowheel *argv`` from source, standard output on ``stdout``."""
+    return subprocess.run([sys.executable, "-m", "homeowheel", *argv], env=child_env(),
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_dev_stdout_redirected_to_a_file_gets_the_json_then_the_summary(tmp_path):
+    # As ``--out /dev/stdout > p.txt``: reopened by name at offset 0, the JSON
+    # was overwritten by the summary, written at offset 0 of standard output.
+    report = tmp_path / "p.txt"
+    with open(report, "wb") as stdout:
+        done = run_child(["plan", "--target-deg", "10", "--out", "/dev/stdout"], stdout)
+    assert done.returncode == 0 and done.stderr == ""
+    text, content = trajectory_to_json(plan_rotation(10.0)), report.read_text(encoding="utf-8")
+    doc, end = json.JSONDecoder().raw_decode(content)
+    assert doc == json.loads(text) and content[:end + 1] == text
+    assert content[end + 1:].startswith("waypoints=")
+    only(tmp_path, "p.txt")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("out_traj", [False, True], ids=["trace", "trace-and-trajectory"])
+@pytest.mark.parametrize("to_file", [True, False], ids=["file", "pipe"])
+def test_dev_stdout_gets_each_output_then_the_summary(tmp_path, out_traj, to_file):
+    # ``simulate --n 1 --out /dev/stdout [--out-traj /dev/stdout] > r.txt``
+    # kept only the summary over the start of the last output written.
+    trajectory = build_rotate_wheel_2n(1)
+    expected = reference_trace_csv(analyse(trajectory), 50.0).decode("utf-8")
+    argv = ["simulate", "--n", "1", "--out", "/dev/stdout"]
+    if out_traj:
+        argv += ["--out-traj", "/dev/stdout"]
+        expected += trajectory_to_json(trajectory)
+    if to_file:
+        with open(tmp_path / "r.txt", "wb") as stdout:
+            done = run_child(argv, stdout)
+        content = (tmp_path / "r.txt").read_text(encoding="utf-8")
+    else:
+        done = run_child(argv, subprocess.PIPE)
+        content = done.stdout
+    assert done.returncode == 0 and done.stderr == ""
+    assert content.startswith(expected)
+    assert content[len(expected):].startswith("theta_wheel_deg=720.000000000\n")
+    assert content.endswith("violations=0\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_dev_stdout_appended_to_gets_a_split_trace_then_the_summary(tmp_path):
+    # As ``simulate --n 500 --out /dev/stdout >> r.txt`` on 2 CPUs: the parts
+    # after the first were copied with sendfile, which refuses a file in
+    # append mode, so the command failed with the trace cut after part one.
+    motion = analyse(build_rotate_wheel_2n(500))
+    assert len(trace._export_parts(trace._sample_counts(motion.trajectory, 50.0), 2)) == 3
+    expected = OLD.decode("utf-8") + reference_trace_csv(motion, 50.0).decode("utf-8")
+    report = tmp_path / "r.txt"
+    report.write_bytes(OLD)
+    child = ("import sys; from homeowheel import cli, trace; trace._export_cpus = lambda: 2; "
+             "cli.main(sys.argv[1:])")
+    with open(report, "ab") as stdout:
+        done = subprocess.run([sys.executable, "-c", child, "simulate", "--n", "500", "--out",
+                               "/dev/stdout"], env=child_env(), stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == ""
+    content = report.read_text(encoding="utf-8")
+    assert content.startswith(expected)
+    assert content[len(expected):].startswith("theta_wheel_deg=360000.000000000\n")
+    assert content.endswith("violations=0\n")
+    only(tmp_path, "r.txt")
+
+
+@pytest.mark.parametrize("kind", ["same", "dot", "link", "dangling"])
+def test_two_outputs_that_name_one_file_are_a_usage_error(capsys, tmp_path, monkeypatch, kind):
+    # Each was staged on its own and both moved over the one file in order,
+    # so the trace was lost without a word. Now neither file is touched.
+    monkeypatch.chdir(tmp_path)
+    os.symlink("out", "link")
+    if kind != "dangling":
+        Path("out").write_bytes(OLD)
+    first, second = {"same": ("out", "out"), "dot": ("out", "./out"), "link": ("out", "link"),
+                     "dangling": ("link", "out")}[kind]
+    before = state(tmp_path)
+    code, stdout, stderr = invoke(capsys, "simulate", "--n", "1", "--out", first,
+                                  "--out-traj", second)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"homeowheel: error: output {second!r} names the file of another output\n"
+    assert state(tmp_path) == before
+
+
+def test_two_outputs_written_in_place_may_name_one_file(capsys):
+    code, stdout, stderr = invoke(capsys, "simulate", "--n", "1", "--out", os.devnull,
+                                  "--out-traj", os.devnull)
+    assert (code, stderr) == (0, "") and stdout.endswith("violations=0\n")
 
 
 def test_a_target_that_ends_in_a_separator_gets_the_error_of_open(capsys, tmp_path):
@@ -413,9 +508,9 @@ def test_outputs_writes_what_open_writes_or_nothing(tmp_path_factory, kind, mode
     reference = make_target(reference_dir, kind, mode)
     target = make_target(directory, kind, mode)
     before = state(directory)
-    # "stdio": an existing file that a standard stream is open on, as standard
-    # output is for ``--out /dev/stdout >> file`` (standard input here, which
-    # leaves the test's output alone); open truncates it in place.
+    # "stdio": an existing file that standard input is open on; open
+    # truncates it in place. (The files of standard output and error are
+    # written through the stream, as the /dev/stdout tests show.)
     inode = os.stat(target).st_ino if kind == "stdio" else None
 
     def write_reference():

@@ -10,8 +10,10 @@ import sys
 import tempfile
 from collections import Counter
 from functools import partial
+from itertools import pairwise
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -42,16 +44,20 @@ from homeowheel.fileformat import (
     write_trajectory_file,
 )
 from homeowheel.mechanism import (
+    DEFAULT_GEOMETRY,
     GIMBAL_TOL,
     MechanismGeometry,
     ServoLimits,
     ServoState,
+    drive_sign,
+    forward_kinematics,
     validate_state,
 )
 from homeowheel.planner import count_engaged_sweeps, generate_gait, plan_rotation
 from homeowheel.tegument import TwistLedger, check_integrity
 from homeowheel.trace import _CHUNK_ROWS, simulate, write_trace_file
 from reference import (
+    quat_to_matrix,
     reference_parse_trajectory,
     reference_trace_csv,
     reference_trace_rows,
@@ -642,20 +648,22 @@ def test_check_on_files_at_the_size_bounds(fuzz_dir, text, data, indent, byte_st
 
 # Option values that keep every command small even where a work cap were
 # missing; the caps have tests of their own that stop before any work.
+# int and float strip blanks and take underscores; neither takes hex.
+ODD_NUMBERS = [" 7 ", "1_000", "0x10", "-0", "1e999", ""]
 ARGV_VALUES = {
-    "--n": ["1", "2", "0", "-3", "x", "1e9"],
+    "--n": ["1", "2", "0", "-3", "x", "1e9", *ODD_NUMBERS],
     "--sample-rate-hz": ["0.5", "50", "nan", "inf", "0", "-1"],
-    "--target-deg": ["450", "-1e4", "1e19", "nan", "0", "x"],
+    "--target-deg": ["450", "-1e4", "1e19", "nan", "0", "x", *ODD_NUMBERS],
     "--distance-m": ["1", "-2", "1e300", "inf"],
-    "--period-s": ["8", "2.9", "0", "inf", "1e300", "1e-300"],
-    "--cycles": ["1", "3", "0", "-1"],
+    "--period-s": ["8", "2.9", "0", "inf", "1e300", "1e-300", *ODD_NUMBERS],
+    "--cycles": ["1", "3", "0", "-1", *ODD_NUMBERS],
     "--lengths-m": ["1,0.1", "0", "1,,2", "x", "1e308,1e-308"],
     "--ref-length-m": ["1", "0", "1e-308"],
-    "--radius-m": ["0.5", "0", "-1", "inf", "1e-308"],
+    "--radius-m": ["0.5", "0", "-1", "inf", "1e-308", *ODD_NUMBERS],
     "--policy": ["strict", "lenient", "bogus"],
     "--config": ["{good}", "{bad}", "{missing}", "{traj}"],
     "--out": ["{out}"],
-    "--out-traj": ["{out}"],
+    "--out-traj": ["{out}", "{out_traj}"],
 }
 
 
@@ -675,7 +683,7 @@ def command_lines(draw):
 def test_fuzzed_command_lines_exit_with_a_documented_code(fuzz_dir, argv):
     paths = {"good": fuzz_dir / "good.json", "bad": fuzz_dir / "bad.json",
              "traj": fuzz_dir / "traj.json", "missing": fuzz_dir / "missing.json",
-             "out": fuzz_dir / "out"}
+             "out": fuzz_dir / "out", "out_traj": fuzz_dir / "out_traj"}
     paths["good"].write_text('{"wheel_radius_m": 0.2, "max_rates_deg_per_s": {"s1": 90}}')
     paths["bad"].write_text('{"servo_ranges_deg": [1, 2]')
     paths["traj"].write_text(VALID_FILES[0])
@@ -767,3 +775,64 @@ def test_commands_turn_the_wheel_with_bounded_twist(fuzz_dir, command):
     assert expected["ok"] == 1
     result = run_command(["check", str(fuzz_dir / name)])
     assert oracle.judge("check", expected, result, fuzz_dir) == []
+
+
+# --------------------------------------------------------------------------
+# The skeleton as the check of the clutch rule: the hub's rotation along the
+# chain of forward_kinematics, which no command runs, against drive_sign,
+# from which every wheel angle the package reports follows.
+
+driving_configs = st.sampled_from([(90.0, -90.0), (-90.0, 90.0)])
+shaft_angles = st.floats(0.0, 360.0)
+
+
+def hub_matrix(state: ServoState) -> np.ndarray:
+    return quat_to_matrix(forward_kinematics(DEFAULT_GEOMETRY, state).wheel_hub.rotation)
+
+
+@settings(max_examples=500, deadline=None)
+@given(driving_configs, shaft_angles, shaft_angles)
+def test_the_chain_turns_the_hub_about_the_axle_by_the_drive_sign(config, a, b):
+    # Both configurations turn the hub about the same body axis, +y, the
+    # same way for the shaft travel each allows: the paper's "rotate
+    # continuously in the same direction" as a fact of the chain.
+    start, end = ServoState(a, *config), ServoState(b, *config)
+    turn = math.radians(-drive_sign(start) * (b - a))
+    cos, sin = math.cos(turn), math.sin(turn)
+    about_y = np.array([[cos, 0.0, sin], [0.0, 1.0, 0.0], [-sin, 0.0, cos]])
+    assert np.abs(hub_matrix(end) @ hub_matrix(start).T - about_y).max() < 1e-12
+
+
+@st.composite
+def builder_outputs(draw):
+    """A trajectory of one of the builders under the default limits."""
+    builder = draw(st.sampled_from(["simulate", "plan", "gait"]))
+    if builder == "simulate":
+        return build_rotate_wheel_2n(draw(st.integers(1, 4)))
+    if builder == "plan":
+        return plan_rotation(draw(st.floats(-3000.0, 3000.0)))
+    return generate_gait(draw(st.floats(3.0, 30.0)), draw(st.integers(1, 3)))
+
+
+@settings(max_examples=500, deadline=None)
+@example(build_rotate_wheel_2n(2))
+@example(generate_gait(8.0, 2))
+@example(plan_rotation(-450.0))
+@example(plan_rotation(7.3))
+@example(plan_rotation(1234.5))
+@given(builder_outputs())
+def test_the_chain_sums_the_hub_rotation_to_the_wheel_angle(trajectory):
+    # Along every driving segment, in shaft steps of at most 90 deg so that
+    # each step's angle about +y is unambiguous; segments that do not drive
+    # add nothing to the wheel angle, so they are skipped.
+    turned = 0.0
+    for _, a, b in trajectory.segments():
+        if segment_drive(a.state, b.state) == 0:
+            continue
+        start, end = a.state, b.state
+        steps = math.ceil(abs(end.s1 - start.s1) / 90.0)
+        shaft = [start.s1 + (end.s1 - start.s1) * k / steps for k in range(steps)]
+        for s1, next_s1 in pairwise([*shaft, end.s1]):
+            step = hub_matrix(start._replace(s1=next_s1)) @ hub_matrix(start._replace(s1=s1)).T
+            turned += math.degrees(math.atan2(step[0, 2], step[0, 0]))
+    assert abs(turned + analyse(trajectory).final_theta_deg) <= 1e-9

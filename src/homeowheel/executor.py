@@ -229,7 +229,8 @@ def build_rotate_wheel_2n(n: int, geometry: MechanismGeometry = DEFAULT_GEOMETRY
     return s3 and s2 to rest. One waypoint per servo move, in that exact
     order: 6n + 4 segments, ending at the home state with every twist back
     at zero, timed by :func:`timed_waypoints` (1 s per move under the default
-    limits). More than :data:`MAX_WAYPOINTS` waypoints, limits that exclude
+    limits). The loop states repeat one cycle and are shared, as the gait's
+    are. More than :data:`MAX_WAYPOINTS` waypoints, limits that exclude
     the driving configurations or s1 = 0 or 360, or times that stop
     increasing raise InvalidParameter.
     """
@@ -239,24 +240,16 @@ def build_rotate_wheel_2n(n: int, geometry: MechanismGeometry = DEFAULT_GEOMETRY
         raise InvalidParameter(f"n={n} needs {6 * n + 5} waypoints, "
                                f"more than MAX_WAYPOINTS ({MAX_WAYPOINTS})")
     check_reachable(limits, full_sweep=True)
-    states = [
-        ServoState(0.0, 0.0, 0.0),
-        ServoState(0.0, 0.0, -90.0),
+    cycle = [
+        ServoState(360.0, 90.0, -90.0),   # shaft up: wheel +360
+        ServoState(360.0, 90.0, 90.0),
+        ServoState(360.0, -90.0, 90.0),
+        ServoState(0.0, -90.0, 90.0),     # shaft down: wheel +360 again
+        ServoState(0.0, -90.0, -90.0),
         ServoState(0.0, 90.0, -90.0),
     ]
-    for _ in range(n):
-        states += [
-            ServoState(360.0, 90.0, -90.0),   # shaft up: wheel +360
-            ServoState(360.0, 90.0, 90.0),
-            ServoState(360.0, -90.0, 90.0),
-            ServoState(0.0, -90.0, 90.0),     # shaft down: wheel +360 again
-            ServoState(0.0, -90.0, -90.0),
-            ServoState(0.0, 90.0, -90.0),
-        ]
-    states += [
-        ServoState(0.0, 90.0, 0.0),
-        ServoState(0.0, 0.0, 0.0),
-    ]
+    states = [ServoState(0.0, 0.0, 0.0), ServoState(0.0, 0.0, -90.0), ServoState(0.0, 90.0, -90.0),
+              *cycle * n, ServoState(0.0, 90.0, 0.0), ServoState(0.0, 0.0, 0.0)]
     return Trajectory(geometry, limits, timed_waypoints(states, limits))
 
 

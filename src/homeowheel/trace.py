@@ -5,8 +5,8 @@ each segment's waypoint row and then its inner rows in column blocks, where
 a column the segment holds still is one value. A routine repeats a few servo
 moves, so the loop keeps, per call, what a repeated segment shape gives
 besides its start time and wheel angle (the interpolated servo columns with
-their text, and the time and wheel-angle offsets), for shapes of one block
-and up to one block of rows in all. :func:`write_trace_file` formats only the
+their text, and the time and wheel-angle offsets), block by block, up to one
+block of rows in all. :func:`write_trace_file` formats only the
 time and wheel columns per row and streams the rows to disk, a long trace in
 contiguous ranges of segments, one per usable CPU: forked workers format the
 later ranges into anonymous memory files, appended in order, so the bytes are
@@ -155,12 +155,12 @@ def _trace_blocks(motion: Motion, counts: list[int], start: int, stop: int
     its waypoint row and 0.0 on the inner rows.
 
     A routine repeats a few servo moves, so :func:`_shape_rows` runs once per
-    segment shape (sample count, duration, wheel coupling, servo starts and
-    deltas) and only the start time and wheel angle are added per row. The
-    shapes are keyed by the ``float.hex`` of each value, which tells -0.0
-    from 0.0 and takes ints. Only segments of one block are kept, up to
-    ``_CHUNK_ROWS`` rows in all, and only for this call, so memory stays
-    O(one block).
+    block of a segment shape (sample count, duration, wheel coupling, servo
+    starts and deltas) and only the start time and wheel angle are added per
+    row. A block is keyed by its first row and the ``float.hex`` of each value
+    of the shape, which tells -0.0 from 0.0 and takes ints. Blocks are kept
+    while they fit in ``_CHUNK_ROWS`` rows in all, and only for this call, so
+    memory stays O(one block).
     """
     trajectory = motion.trajectory
     waypoints = trajectory.waypoints
@@ -178,20 +178,16 @@ def _trace_blocks(motion: Motion, counts: list[int], start: int, stop: int
         yield (t0, a1, a2, a3, theta, radius * radians(theta),
                engaged(a.state), flags)
         shape = (seg_dt, drive, a1, d_s1, a2, d_s2, a3, d_s3)
-        if 1 < subdivisions <= _CHUNK_ROWS + 1:
-            key = (subdivisions, *map(float.hex, map(float, shape)))
+        for first in range(1, subdivisions, _CHUNK_ROWS):
+            key = (first, subdivisions, *map(float.hex, map(float, shape)))
             rows = shapes.get(key)
             if rows is None:
-                rows = _shape_rows(subdivisions, 1, subdivisions, *shape)
-                if subdivisions - 1 <= room:
+                rows = _shape_rows(subdivisions, first,
+                                   min(first + _CHUNK_ROWS, subdivisions), *shape)
+                if len(rows[0]) <= room:
                     rows = shapes[key] = (*rows[:-1], list(rows[-1]))
-                    room -= subdivisions - 1
-            blocks = (rows,)
-        else:
-            blocks = (_shape_rows(subdivisions, first,
-                                  min(first + _CHUNK_ROWS, subdivisions), *shape)
-                      for first in range(1, subdivisions, _CHUNK_ROWS))
-        for offsets, s1, s2, s3, turns, text in blocks:
+                    room -= len(rows[0])
+            offsets, s1, s2, s3, turns, text = rows
             if turns is None:  # theta + drive * 0.0 is theta, which is never -0.0
                 theta_now, x = theta, radius * radians(theta)
             else:

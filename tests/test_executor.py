@@ -82,6 +82,11 @@ class TestBuildRotateWheel2n:
         assert len(build_rotate_wheel_2n(1).waypoints) == 11   # 10 segments
         assert len(build_rotate_wheel_2n(3).waypoints) == 23   # 6n + 4 segments
 
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_the_loop_states_are_one_shared_cycle(self, n):
+        # 3 engage states, the 6 of the cycle and 2 park states, for any n.
+        assert len({id(w.state) for w in build_rotate_wheel_2n(n).waypoints}) == 11
+
     def test_final_state_is_home(self):
         assert build_rotate_wheel_2n(4).final_state == S(0.0, 0.0, 0.0)
 
@@ -729,8 +734,8 @@ class TestTraceExport:
         assert peak < 2 * 1024 * 1024
 
     def test_a_repeated_long_segment_streams_in_bounded_memory(self, tmp_path):
-        # Two identical 400 s sweeps of 20,000 rows: a shape longer than a
-        # block is not kept; keeping it whole took about 7 MB.
+        # Two identical 400 s sweeps of 20,000 rows: only the first block of
+        # the shape is kept, while it fits the room; keeping it whole took about 7 MB.
         W, S = Waypoint, ServoState
         trajectory = Trajectory(waypoints=(
             W(0.0, S(0.0, 90.0, -90.0)), W(400.0, S(360.0, 90.0, -90.0)),

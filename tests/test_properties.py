@@ -303,6 +303,7 @@ def repeated_moves(draw):
     st.tuples(unchecked_trajectories(),
               st.one_of(sample_rates, st.floats(min_value=0.01, max_value=200.0))),
     repeated_moves()))
+@example((build_rotate_wheel_2n(1), 4100.0))
 def test_streamed_trace_file_is_the_simulated_trace(case):
     # Both consumers of the one sampling loop, each against the row-at-a-time
     # reference.
@@ -339,6 +340,7 @@ def test_long_segment_with_negative_zero_columns_matches_the_reference(tmp_path)
 @given(st.one_of(st.tuples(trajectories(), sample_rates), repeated_moves()))
 @example((Trajectory(waypoints=(Waypoint(0.0, ServoState(0.0, 90.0, -90.0)),
                                 Waypoint(400.0, ServoState(360.0, 90.0, -90.0)))), 50.0))
+@example((build_rotate_wheel_2n(1), 4100.0))
 def test_split_trace_file_is_the_serial_trace(split_export, case):
     # The export on 1, 2 and 3 CPUs, in parts of as few as one row, the later
     # ones written by forked workers, against the row-at-a-time reference.

@@ -3,15 +3,17 @@
 Dense samples exist only for the trace export: one sampling loop yields
 each segment's waypoint row and then its inner rows in column blocks, where
 a column the segment holds still is one value. A routine repeats a few servo
-moves, so the loop keeps, per call, what a repeated segment shape gives
-besides its start time and wheel angle (the interpolated servo columns with
-their text, and the time and wheel-angle offsets), block by block, up to one
-block of rows in all. :func:`write_trace_file` formats only the
-time and wheel columns per row and streams the rows to disk, a long trace in
-contiguous ranges of segments, one per usable CPU: forked workers format the
-later ranges into anonymous memory files, appended in order, so the bytes are
-those of one process. :func:`simulate` expands the blocks into
-:class:`TraceSample` objects.
+moves on whole seconds, so the loop keeps, per call, what a repeated segment
+shape gives besides its start time and wheel angle (the interpolated servo
+columns with their text, the time and wheel-angle offsets, and the text of
+each row but its whole seconds after a whole-second start), block by block,
+up to one block of rows in all. :func:`write_trace_file` joins that text
+with the block's whole seconds, formats per row only ``t`` where a block has
+no such text and the wheel columns where the wheel turns, and streams the
+rows to disk, a long trace in contiguous ranges of segments, one per usable
+CPU: forked workers format the later ranges into anonymous memory files,
+appended in order, so the bytes are those of one process. :func:`simulate`
+expands the blocks into :class:`TraceSample` objects.
 
 The trace file is comma-delimited text, one row per sample
 ``t,s1,s2,s3,theta_wheel_deg,x_m,engaged,event_flags`` with a mandatory
@@ -56,8 +58,9 @@ _CHUNK_ROWS = 4096
 # Most processes that format one trace export: the caller and up to three
 # forked workers, one per usable CPU.
 _EXPORT_PROCESSES = 4
-# Fewest rows in each part of a split trace export; a part this size takes
-# about 20 ms to format, against about 1 ms to fork a worker for it.
+# Fewest rows in each part of a split trace export; a part this size of the
+# routine at 50 Hz takes about 8 ms to format, and 2 x 16,384 rows about
+# 21 ms split on two CPUs against 27 ms serial; a fork takes about 1 ms.
 _MIN_PART_ROWS = 4 * _CHUNK_ROWS
 _CAN_SPLIT = all(hasattr(os, name) for name in ("fork", "memfd_create", "sched_getaffinity"))
 
@@ -137,6 +140,34 @@ def _shape_rows(subdivisions: int, first: int, stop: int, seg_dt: float, drive: 
     return ([seg_dt * alpha for alpha in alphas], *servos, turns, text)
 
 
+def _time_fractions(offsets: list[float], digits: int) -> tuple:
+    """``(k, fractions)`` such that ``"%.9g" % (t0 + offset)`` is
+    ``str(T + k) + fraction`` for each offset, wherever ``t0`` is a whole
+    number ``T`` of ``digits`` digits below 10**9 and ``T + k < 10**digits``;
+    ``(None, [])`` where that is not certain. Each offset (a float >= 0) is
+    rounded exactly, from its integer ratio, to the ``9 - digits`` decimals
+    ``T + offset`` keeps. ``t0 + offset`` is off by at most 10**9 * 2**-53
+    (1.1e-7) of a last-place unit, so offsets within 2e-7 of one from a
+    rounding tie, or rounding to different whole seconds, decline."""
+    scale = 10 ** (9 - digits)
+    seconds = None
+    fractions = []
+    for offset in offsets:
+        n, m = offset.as_integer_ratio()
+        q, r = divmod(n * scale, m)
+        tie = 2 * r - m
+        if abs(tie) * 2_500_000 <= m:  # |r / m - 1/2| <= 2e-7
+            return None, []
+        k, last = divmod(q + (tie > 0), scale)
+        if k != seconds:
+            if seconds is not None:
+                return None, []
+            seconds = k
+        fraction = str(last + scale)[1:].rstrip("0")
+        fractions.append("." + fraction if fraction else "")
+    return seconds, fractions
+
+
 def _trace_blocks(motion: Motion, counts: list[int], start: int, stop: int
                   ) -> Iterator[tuple]:
     """The trace of segments ``start`` to ``stop - 1`` of ``motion``,
@@ -146,21 +177,30 @@ def _trace_blocks(motion: Motion, counts: list[int], start: int, stop: int
 
     Each segment gives its waypoint row ``(t, s1, s2, s3, theta_wheel_deg,
     x_m, engaged, event_flags)``, then its inner rows in column blocks of at
-    most ``_CHUNK_ROWS`` rows: the same eight columns, each a list holding
+    most ``_CHUNK_ROWS`` rows: the segment's start time, the list of the
+    rows' offsets from it, then the seven other columns, each a list holding
     the column's value on every row of the block, or one value shared by all
-    of them where the column is constant over the segment; a ninth, read
-    once, gives each row's ``s1,s2,s3`` text. The ``t`` column of a block is
-    always a list, which tells a block from a row. Constant columns hold the
-    value the varying expression gives, so a -0.0 servo angle reads -0.0 on
-    its waypoint row and 0.0 on the inner rows.
+    of them where the column is constant over the segment, and a tenth, read
+    once, with the block's text. A block has ten items and a row eight.
+    Constant columns hold the value the varying expression gives, so a -0.0
+    servo angle reads -0.0 on its waypoint row and 0.0 on the inner rows.
 
     A routine repeats a few servo moves, so :func:`_shape_rows` runs once per
-    block of a segment shape (sample count, duration, wheel coupling, servo
-    starts and deltas) and only the start time and wheel angle are added per
-    row. A block is keyed by its first row and the ``float.hex`` of each value
-    of the shape, which tells -0.0 from 0.0 and takes ints. Blocks are kept
-    while they fit in ``_CHUNK_ROWS`` rows in all, and only for this call, so
-    memory stays O(one block).
+    block of a segment shape and only the start time and wheel angle are
+    added per row. A block is keyed by its first row, its segment's sample
+    count and duration, and the identity of the segment's two servo states,
+    which fix every servo value and the wheel coupling and outlive the call.
+    Blocks are kept while they fit in ``_CHUNK_ROWS`` rows in all, and only
+    for this call, so memory stays O(one block).
+
+    A kept block of a segment that starts on a whole second ``T``, ``1 <= T
+    < 10**9``, also keeps, per digit count of ``T`` and against the same
+    room, one piece per row: its :func:`_time_fractions` fraction, a comma,
+    its servo text and a comma, then ``%.9g,%.9g,`` where the wheel turns.
+    The block's text is then the pair of ``str(T + k)`` and those pieces;
+    else it is each row's ``s1,s2,s3`` text, as for a block not kept, whose
+    time text would cost about as much as formatting ``t`` per row and
+    serve once.
     """
     trajectory = motion.trajectory
     waypoints = trajectory.waypoints
@@ -177,13 +217,14 @@ def _trace_blocks(motion: Motion, counts: list[int], start: int, stop: int
         driving = drive != 0
         yield (t0, a1, a2, a3, theta, radius * radians(theta),
                engaged(a.state), flags)
-        shape = (seg_dt, drive, a1, d_s1, a2, d_s2, a3, d_s3)
+        whole = int(t0) if 1 <= t0 < 10 ** 9 and t0 == int(t0) else 0
+        digits = len(str(whole))
         for first in range(1, subdivisions, _CHUNK_ROWS):
-            key = (first, subdivisions, *map(float.hex, map(float, shape)))
+            key = (first, subdivisions, seg_dt, id(a.state), id(b.state))
             rows = shapes.get(key)
             if rows is None:
-                rows = _shape_rows(subdivisions, first,
-                                   min(first + _CHUNK_ROWS, subdivisions), *shape)
+                rows = _shape_rows(subdivisions, first, min(first + _CHUNK_ROWS, subdivisions),
+                                   seg_dt, drive, a1, d_s1, a2, d_s2, a3, d_s3)
                 if len(rows[0]) <= room:
                     rows = shapes[key] = (*rows[:-1], list(rows[-1]))
                     room -= len(rows[0])
@@ -193,8 +234,18 @@ def _trace_blocks(motion: Motion, counts: list[int], start: int, stop: int
             else:
                 theta_now = [theta + turn for turn in turns]
                 x = [radius * radians(th) for th in theta_now]
-            yield ([t0 + offset for offset in offsets], s1, s2, s3, theta_now, x,
-                   driving, flags, text)
+            if whole and key in shapes:
+                k, pieces = shapes.get((key, digits), (None, None))
+                if pieces is None and len(offsets) <= room:
+                    k, fractions = _time_fractions(offsets, digits)
+                    columns = "," if turns is None else ",%.9g,%.9g,"
+                    pieces = [fraction + "," + servo + columns
+                              for fraction, servo in zip(fractions, text)]
+                    shapes[key, digits] = k, pieces
+                    room -= len(offsets)
+                if k is not None and whole + k < 10 ** digits:
+                    text = (str(whole + k), pieces)
+            yield (t0, offsets, s1, s2, s3, theta_now, x, driving, flags, text)
     if stop == len(counts):
         last = waypoints[-1]
         yield (last.t, last.state.s1, last.state.s2, last.state.s3, motion.final_theta_deg,
@@ -204,12 +255,14 @@ def _trace_blocks(motion: Motion, counts: list[int], start: int, stop: int
 
 def _block_rows(block: tuple) -> Iterable[tuple]:
     """The rows of one item of :func:`_trace_blocks`: a waypoint row as it
-    is, a block expanded with its constant columns repeated."""
-    if type(block[0]) is not list:
+    is, a block expanded with its times and constant columns repeated."""
+    if len(block) == 8:
         return (block,)
-    n = len(block[0])
-    return zip(*(column if type(column) is list else repeat(column, n)
-                 for column in block[:8]))
+    t0, offsets = block[:2]
+    n = len(offsets)
+    return zip([t0 + offset for offset in offsets],
+               *(column if type(column) is list else repeat(column, n)
+                 for column in block[2:9]))
 
 
 def simulate(trajectory: Trajectory, sample_rate: float = 50.0) -> SimTrace:
@@ -271,20 +324,34 @@ def _export_parts(counts: list[int], processes: int) -> list[int]:
 def _write_rows(out, motion: Motion, counts: list[int], start: int, stop: int) -> None:
     """Write the rows :func:`_trace_blocks` gives for segments ``start`` to
     ``stop - 1`` to the text file ``out``, each formatted by ``_TRACE_ROW``.
-    The servo columns come formatted, once per repeated segment shape; each
-    block's constant wheel columns are formatted once, into the row template
-    of the block, so only ``t``, and ``theta_wheel_deg`` and ``x_m`` where
-    the wheel turns, are formatted per row."""
+    Each block's constant columns are formatted once, into the tail of its
+    rows. A block with the time text of its shape is one join of that text,
+    the block's whole seconds and the tail, with ``theta_wheel_deg`` and
+    ``x_m`` formatted per row where the wheel turns; any other block formats
+    ``t`` per row too, in a row template around its servo text."""
     for block in _trace_blocks(motion, counts, start, stop):
-        if type(block[0]) is not list:
+        if len(block) == 8:
             out.write(_TRACE_ROW % block)
             continue
-        t, _, _, _, theta, x, driving, flags, servos = block
-        if type(theta) is list:
-            template, columns = "%.9g,%s,%.9g,%.9g,", (t, servos, theta, x)
+        t0, offsets, _, _, _, theta, x, driving, flags, text = block
+        turning = type(theta) is list
+        tail = "%d,%d\n" % (driving, flags)
+        if not turning:
+            tail = "%.9g,%.9g," % (theta, x) + tail
+        if type(text) is tuple:
+            head, pieces = text
+            rows = head + (tail + head).join(pieces) + tail
+            if turning:  # the (theta, x) pairs, interleaved
+                values = theta * 2
+                values[::2], values[1::2] = theta, x
+                rows %= tuple(values)
+            out.write(rows)
+            continue
+        t = [t0 + offset for offset in offsets]
+        if turning:
+            template, columns = "%.9g,%s,%.9g,%.9g," + tail, (t, text, theta, x)
         else:
-            template, columns = "%%.9g,%%s,%.9g,%.9g," % (theta, x), (t, servos)
-        template += "%d,%d\n" % (driving, flags)
+            template, columns = "%.9g,%s," + tail, (t, text)
         out.write("".join(map(template.__mod__, zip(*columns))))
 
 

@@ -1,5 +1,6 @@
 """Tests for trajectory construction, simulation, validation, and files."""
 
+import io
 import json
 import math
 import os
@@ -685,6 +686,50 @@ class TestTraceExport:
         rows = sample_rows(simulate(trajectory, 37.0))
         assert len(rows) == 4589
         assert repr(rows) == repr(list(reference_trace_rows(motion, 37.0)))
+
+    @staticmethod
+    def block_starts(monkeypatch, trajectory, rate) -> tuple[list, list]:
+        """Run a serial export of ``trajectory`` at ``rate`` and return the
+        start times of the blocks it joins from kept time text, and of those
+        that format ``t`` per row."""
+        blocks = trace._trace_blocks
+        joined: list = []
+        per_row: list = []
+
+        def spy(*args):
+            for block in blocks(*args):
+                if len(block) == 10:
+                    (joined if type(block[9]) is tuple else per_row).append(block[0])
+                yield block
+        monkeypatch.setattr(trace, "_trace_blocks", spy)
+        motion = analyse(trajectory)
+        counts = trace._sample_counts(trajectory, rate)
+        out = io.StringIO()
+        trace._write_rows(out, motion, counts, 0, len(counts))
+        expected = reference_trace_csv(motion, rate).decode()
+        assert trace.TRACE_HEADER + "\n" + out.getvalue() == expected
+        return joined, per_row
+
+    @pytest.mark.parametrize("n, radius", [(50, 0.25), (500, 0.37)])
+    def test_the_routine_formats_t_per_row_on_its_first_segment_alone(
+            self, monkeypatch, n, radius):
+        # Every later segment starts on a whole second, and its shape and
+        # time text are kept: 6n + 3 of the 6n + 4 segments join.
+        trajectory = build_rotate_wheel_2n(n, MechanismGeometry(wheel_radius=radius))
+        joined, per_row = self.block_starts(monkeypatch, trajectory, 50.0)
+        assert per_row == [0.0]
+        assert joined == [float(t) for t in range(1, 6 * n + 4)]
+
+    def test_blocks_without_kept_time_text_format_t_per_row(self, monkeypatch):
+        # At 70 deg/s for s2 and s3 no segment after t = 0 starts on a whole
+        # second. At 4,100 Hz the first block fills the room for kept rows,
+        # so no later block keeps its time text; computing it per block
+        # would cost more than formatting t per row.
+        slow = ServoLimits(s2_max_rate=70.0, s3_max_rate=70.0)
+        for trajectory, rate, blocks in ((build_rotate_wheel_2n(3, limits=slow), 50.0, 22),
+                                         (build_rotate_wheel_2n(2), 4100.0, 32)):
+            joined, per_row = self.block_starts(monkeypatch, trajectory, rate)
+            assert joined == [] and len(per_row) == blocks
 
     def test_rejected_rate_leaves_the_file_alone(self, tmp_path, forbid):
         path = tmp_path / "trace.csv"

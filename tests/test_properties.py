@@ -55,7 +55,7 @@ from homeowheel.mechanism import (
 )
 from homeowheel.planner import count_engaged_sweeps, generate_gait, plan_rotation
 from homeowheel.tegument import TwistLedger, check_integrity
-from homeowheel.trace import _CHUNK_ROWS, simulate, write_trace_file
+from homeowheel.trace import _CHUNK_ROWS, _time_fractions, simulate, write_trace_file
 from reference import (
     quat_to_matrix,
     reference_parse_trajectory,
@@ -298,12 +298,84 @@ def repeated_moves(draw):
     return Trajectory(waypoints=tuple(waypoints)), rate
 
 
+@st.composite
+def whole_starts_and_offsets(draw):
+    """A whole second ``T`` in [1, 10**9) and an offset: any in [0, 3], or
+    within 1e-16 to 3e-7 of a last-place unit of ``T + offset`` from a
+    rounding tie, or just under a whole second."""
+    start = draw(st.integers(1, 10 ** 9 - 1))
+    unit = 10.0 ** (len(str(start)) - 9)
+    kind = draw(st.sampled_from(["any", "tie", "under"]))
+    if kind == "any":
+        offset = draw(st.floats(0.0, 3.0))
+    elif kind == "tie":
+        tie = (draw(st.integers(0, round(3 / unit))) + 0.5) * unit
+        offset = tie + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-16, 3e-7)) * unit
+    else:
+        offset = (math.nextafter(float(draw(st.integers(1, 3))), 0.0)
+                  - draw(st.sampled_from([0.0, 1e-12, 1e-9, 0.5 * unit])))
+    event(kind)
+    return start, max(offset, 0.0)
+
+
+def at_digit_edges(test):
+    """``@example`` cases at ``T = 10**k - 1`` and ``10**k`` for each digit
+    count: carries into the next digit, halves and a quarter."""
+    for k in range(1, 10):
+        for case in ((10 ** k - 1, 0.999999996), (10 ** k - 1, 0.5), (10 ** k - 1, 0.6),
+                     (10 ** k, 0.25)):
+            if case[0] < 10 ** 9:
+                test = example(case)(test)
+    return test
+
+
+@settings(max_examples=1000, deadline=None)
+@given(whole_starts_and_offsets())
+@at_digit_edges
+def test_time_fractions_are_the_formatted_time(case):
+    # The one rule behind the joined trace rows: the whole seconds and the
+    # fraction it gives are "%.9g" of the float sum, for an int or a float
+    # start, or it declines.
+    start, offset = case
+    digits = len(str(start))
+    k, fractions = _time_fractions([offset], digits)
+    if k is None or start + k >= 10 ** digits:
+        event("declined")
+        return
+    (fraction,) = fractions
+    for t0 in (start, float(start)):
+        assert str(start + k) + fraction == "%.9g" % (t0 + offset)
+
+
+def with_times(trajectory: Trajectory, times) -> Trajectory:
+    return trajectory._replace(waypoints=tuple(
+        Waypoint(t, wp.state) for t, wp in zip(times, trajectory.waypoints)))
+
+
+# The routine under 70 deg/s limits for s2 and s3, which starts no segment
+# after t = 0 on a whole second; from t = 999,999,998.0 in 1.5 s steps,
+# which crosses 10**9 and %g's exponent form (at 1 Hz its first row after
+# t0 = 999,999,998 rounds to 999,999,999, and after t0 = 999,999,999 to
+# 1e+09); with int times.
+SLOW_SWAP_ROUTINE = (build_rotate_wheel_2n(2, limits=ServoLimits(s2_max_rate=70.0,
+                                                                   s3_max_rate=70.0)), 50.0)
+ROUTINE_PAST_1E9 = (with_times(build_rotate_wheel_2n(1),
+                               [999_999_998.0 + 1.5 * i for i in range(11)]), 1.0)
+ROUTINE_INTO_1E9 = (with_times(build_rotate_wheel_2n(1),
+                               [999_999_999.0 + 1.5 * i for i in range(11)]), 1.0)
+ROUTINE_IN_INT_SECONDS = (with_times(build_rotate_wheel_2n(2), range(3, 20)), 50.0)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(
     st.tuples(unchecked_trajectories(),
               st.one_of(sample_rates, st.floats(min_value=0.01, max_value=200.0))),
     repeated_moves()))
 @example((build_rotate_wheel_2n(1), 4100.0))
+@example(SLOW_SWAP_ROUTINE)
+@example(ROUTINE_PAST_1E9)
+@example(ROUTINE_INTO_1E9)
+@example(ROUTINE_IN_INT_SECONDS)
 def test_streamed_trace_file_is_the_simulated_trace(case):
     # Both consumers of the one sampling loop, each against the row-at-a-time
     # reference.
@@ -341,6 +413,10 @@ def test_long_segment_with_negative_zero_columns_matches_the_reference(tmp_path)
 @example((Trajectory(waypoints=(Waypoint(0.0, ServoState(0.0, 90.0, -90.0)),
                                 Waypoint(400.0, ServoState(360.0, 90.0, -90.0)))), 50.0))
 @example((build_rotate_wheel_2n(1), 4100.0))
+@example(SLOW_SWAP_ROUTINE)
+@example(ROUTINE_PAST_1E9)
+@example(ROUTINE_INTO_1E9)
+@example(ROUTINE_IN_INT_SECONDS)
 def test_split_trace_file_is_the_serial_trace(split_export, case):
     # The export on 1, 2 and 3 CPUs, in parts of as few as one row, the later
     # ones written by forked workers, against the row-at-a-time reference.
